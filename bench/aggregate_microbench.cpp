@@ -10,11 +10,18 @@
 //   ./aggregate_microbench [--json=BENCH_aggregate.json] [--min-ms=200]
 //                          [--gars=Mean,Multi-Krum] [--max-n=N] [--max-d=D]
 //                          [--assert-krum-speedup=3.0]
+//                          [--assert-bulyan-krum-ratio=2.7]
 //
 // --assert-krum-speedup makes the binary exit non-zero unless the Gram
 // backend beats the direct pair loops on the Multi-Krum n=256, d=1M
 // aggregate by at least the given factor — CI uses it as a smoke guard
 // against a silent fallback to the scalar pairwise path.
+//
+// --assert-bulyan-krum-ratio makes it exit non-zero unless Bulyan's wall
+// time at n=256, d=100k is at most the given multiple of Multi-Krum's
+// (both on the Gram backend). Both rules pay the same pairwise block, so
+// the ratio isolates Bulyan's own selection and coordinate steps and
+// runner speed cancels out of it.
 //
 // Everything is timed on ONE pool thread (set_thread_count(1)): the
 // committed numbers compare kernel structure (GEMM tiling vs scalar
@@ -24,6 +31,7 @@
 // O(iters * n d) rules skip the 1024 x 1M cell, which only the O(n d)
 // family (Mean/TrMean/Median/SignGuard) runs.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -136,7 +144,12 @@ int main(int argc, char** argv) {
       bench::arg_value(argc, argv, "json", "BENCH_aggregate.json");
   const std::string assert_arg =
       bench::arg_value(argc, argv, "assert-krum-speedup", "");
-  const auto gar_filter = bench::arg_values(argc, argv, "gars");
+  const std::string assert_ratio_arg =
+      bench::arg_value(argc, argv, "assert-bulyan-krum-ratio", "");
+  // --gars takes a comma list, and may repeat.
+  std::vector<std::string> gar_filter;
+  for (const auto& list : bench::arg_values(argc, argv, "gars"))
+    for (auto& gar : bench::split_csv(list)) gar_filter.push_back(gar);
   const std::size_t max_n = std::strtoull(
       bench::arg_value(argc, argv, "max-n", "1024").c_str(), nullptr, 10);
   const std::size_t max_d = std::strtoull(
@@ -152,6 +165,7 @@ int main(int argc, char** argv) {
   common::set_thread_count(1);
 
   double krum_speedup_256x1m = 0.0;
+  double bulyan_usec_256x100k = 0.0, krum_usec_256x100k = 0.0;
 
   // Shape-outer so at most one cohort matrix is resident (the 1024 x 1M
   // cell alone is 4 GB).
@@ -159,6 +173,17 @@ int main(int argc, char** argv) {
     if (d > max_d) continue;
     for (const std::size_t n : kCohorts) {
       if (n > max_n) continue;
+      // Build the matrix only for shapes some selected rule runs at (the
+      // 1024 x 1M cell alone is 4 GB).
+      const bool any_runs =
+          std::any_of(kGars.begin(), kGars.end(), [&](const auto& gar) {
+            return bench::keep(gar_filter, gar) && runs_at(gar, n, d);
+          });
+      if (!any_runs) {
+        std::printf("shape n=%zu d=%zu skipped: no selected rule runs here\n",
+                    n, d);
+        continue;
+      }
       const auto m = make_matrix(n, d);
       // Gram-vs-direct cells: the pairwise kernel everywhere it is
       // affordable, plus the full Multi-Krum aggregate (the paper's
@@ -179,6 +204,8 @@ int main(int argc, char** argv) {
         }
         const double usec = time_gar(gar, m);
         record("gar", gar, "gram", n, d, usec, 1e6 / usec);
+        if (gar == "Bulyan" && n == 256 && d == 100'000)
+          bulyan_usec_256x100k = usec;
       }
 
       if (speedup_cell && bench::keep(gar_filter, "Multi-Krum")) {
@@ -203,9 +230,19 @@ int main(int argc, char** argv) {
         record("speedup", "krum_" + shape_tag(n, d), "gram_vs_direct", n, d,
                usec_by_backend[1], speedup);
         if (n == 256 && d == 1'000'000) krum_speedup_256x1m = speedup;
+        if (n == 256 && d == 100'000) krum_usec_256x100k = usec_by_backend[1];
       }
     }
   }
+
+  // Zero when the run did not time both rules at n=256, d=100k.
+  const double bulyan_krum_ratio =
+      bulyan_usec_256x100k > 0.0 && krum_usec_256x100k > 0.0
+          ? bulyan_usec_256x100k / krum_usec_256x100k
+          : 0.0;
+  if (bulyan_krum_ratio > 0.0)
+    record("ratio", "bulyan_over_krum_256x100k", "gram", 256, 100'000,
+           bulyan_usec_256x100k, bulyan_krum_ratio);
 
   write_json(json_path);
 
@@ -220,6 +257,26 @@ int main(int argc, char** argv) {
     }
     std::printf("krum speedup %.2fx >= required %.2fx\n",
                 krum_speedup_256x1m, need);
+  }
+
+  if (!assert_ratio_arg.empty()) {
+    const double limit = std::stod(assert_ratio_arg);
+    if (bulyan_krum_ratio == 0.0) {
+      std::fprintf(stderr,
+                   "FAIL: Bulyan/Multi-Krum ratio not measured — the run "
+                   "must include both rules at n=256, d=100k\n");
+      return 1;
+    }
+    if (bulyan_krum_ratio > limit) {
+      std::fprintf(stderr,
+                   "FAIL: Bulyan takes %.2fx Multi-Krum's wall at n=256, "
+                   "d=100k > allowed %.2fx — Bulyan's selection or "
+                   "coordinate step regressed\n",
+                   bulyan_krum_ratio, limit);
+      return 1;
+    }
+    std::printf("bulyan/krum ratio %.2fx <= allowed %.2fx\n",
+                bulyan_krum_ratio, limit);
   }
   return 0;
 }

@@ -74,6 +74,17 @@ class MultiKrumAggregator : public Aggregator {
 // Bulyan (El Mhamdi et al., ICML'18): iterative Krum selection of
 // theta = n - 2m gradients, then per-coordinate mean of the
 // beta = theta - 2m values closest to the coordinate median.
+//
+// Tie rules. Selection: lowest Krum score first, ties to the lower row
+// index; a row with a non-finite coordinate scores +inf but is still
+// picked once only such rows remain. Coordinate step: the beta values
+// are added in ascending |x - med| order, the lower value first on equal
+// distance, so each output coordinate is a function of the selected
+// column's values whatever the row order. Ties are common: int8-grid
+// uplinks repeat values, crafted rows are identical, and at even theta
+// the two middle values are always equidistant from the median. NaN
+// coordinates are never nearer the median than a number (see
+// stats::mean_around_median_in_place).
 class BulyanAggregator : public Aggregator {
  public:
   using Aggregator::aggregate;

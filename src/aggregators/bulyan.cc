@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <limits>
 
 #include "aggregators/baselines.h"
 #include "aggregators/internal.h"
@@ -20,24 +19,26 @@ std::vector<float> BulyanAggregator::aggregate(
   // Phase 1: iterative Krum. Repeatedly pick the gradient with the lowest
   // Krum score among the remaining set and move it to the selection set,
   // until theta = n - 2m gradients are selected. One packed pairwise
-  // block is computed up front (Gram GEMM or direct loops) and reused
-  // across every iteration; removals only flip the exclusion mask.
+  // block and its presorted neighbour lists are built up front (Gram GEMM
+  // or direct loops) and reused across every iteration; removals only
+  // flip the exclusion mask, and a score walks the head of a list.
   const std::size_t theta = std::max<std::size_t>(1, n - 2 * m);
   const PairwiseDistances pd(grads);
   std::vector<char> excluded(n, 0);
   std::size_t remaining = n;
   selected_.clear();
-  std::vector<double> row;
   while (selected_.size() < theta && remaining > 0) {
     // Krum neighborhood within the remaining set.
     const std::size_t k =
         std::max<std::size_t>(1, remaining > m + 2 ? remaining - m - 2 : 1);
-    double best_score = std::numeric_limits<double>::max();
+    // Lowest score wins, ties to the lower index; a remaining row is
+    // always picked, even when every score is +inf (non-finite rows).
+    double best_score = 0.0;
     std::size_t best = n;
     for (std::size_t i = 0; i < n; ++i) {
       if (excluded[i]) continue;
-      const double score = pd.krum_score(i, k, excluded, row);
-      if (score < best_score) {
+      const double score = pd.krum_score(i, k, excluded);
+      if (best == n || score < best_score) {
         best_score = score;
         best = i;
       }
@@ -50,7 +51,8 @@ std::vector<float> BulyanAggregator::aggregate(
   // Phase 2: per coordinate, average the beta = theta - 2m selected values
   // closest to the coordinate median. The selected rows are transposed
   // tile-by-tile into contiguous column panels (vec::for_each_column), so
-  // the selection statistic never walks the matrix at stride d.
+  // the selection statistic never walks the matrix at stride d, and the
+  // window kernel sorts each panel column in place.
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterAdmits,
              selected_.size());
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterRejects,
@@ -58,11 +60,10 @@ std::vector<float> BulyanAggregator::aggregate(
   const std::size_t beta =
       std::max<std::size_t>(1, theta > 2 * m ? theta - 2 * m : 1);
   std::vector<float> out(grads.cols());
-  thread_local std::vector<double> column;
   vec::for_each_column(
       grads, selected_, [&](std::size_t j, std::span<float> col) {
-        column.assign(col.begin(), col.end());
-        out[j] = static_cast<float>(stats::mean_around_median(column, beta));
+        out[j] = static_cast<float>(
+            stats::mean_around_median_in_place(col, beta));
       });
   return out;
 }

@@ -1,11 +1,9 @@
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "aggregators/baselines.h"
 #include "aggregators/internal.h"
 #include "common/gradient_stats.h"
-#include "common/parallel.h"
 #include "common/vecops.h"
 #include "obs/trace.h"
 
@@ -22,16 +20,12 @@ std::vector<float> MultiKrumAggregator::aggregate(
       std::max<std::size_t>(1, n > m + 2 ? n - m - 2 : 1);
 
   // The O(n^2 d) pairwise block runs as one Gram GEMM (or the direct
-  // pair loops under SIGNGUARD_DIST=direct); the O(n^2 log n) score
-  // selection fans out over rows.
+  // pair loops under SIGNGUARD_DIST=direct), and its O(n^2 log n)
+  // neighbour-list sorts fan out over rows; a score is then an O(k) sum
+  // over the head of one list.
   const PairwiseDistances pd(grads);
   std::vector<double> scores(n, 0.0);
-  common::parallel_chunks(
-      n, [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<double> row;  // one scratch buffer per chunk
-        for (std::size_t i = begin; i < end; ++i)
-          scores[i] = pd.krum_score(i, k, {}, row);
-      });
+  for (std::size_t i = 0; i < n; ++i) scores[i] = pd.krum_score(i, k);
 
   // Select the k best-scored gradients and average them. Only the top k
   // need ordering, so partial_sort the index array instead of fully

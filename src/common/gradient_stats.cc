@@ -74,22 +74,39 @@ PairwiseDistances::PairwiseDistances(
     : PairwiseDistances(common::GradientMatrix::from_vectors(grads)) {}
 
 PairwiseDistances::PairwiseDistances(const common::GradientMatrix& grads)
-    : n_(grads.rows()), d2_(vec::pairwise_dist2_packed(grads)) {}
+    : n_(grads.rows()), d2_(vec::pairwise_dist2_packed(grads)) {
+  if (n_ < 2) return;
+  const std::size_t len = n_ - 1;
+  nbr_.resize(n_ * len);
+  nbr_d2_.resize(n_ * len);
+  common::parallel_chunks(
+      n_, [&](std::size_t begin, std::size_t end, std::size_t) {
+        std::vector<std::pair<double, std::uint32_t>> row(len);
+        for (std::size_t i = begin; i < end; ++i) {
+          std::size_t t = 0;
+          for (std::size_t j = 0; j < n_; ++j)
+            if (j != i) row[t++] = {dist2(i, j), std::uint32_t(j)};
+          // (dist2, j) order: ascending distance, ties on the lower index.
+          std::sort(row.begin(), row.end());
+          for (t = 0; t < len; ++t) {
+            nbr_d2_[i * len + t] = row[t].first;
+            nbr_[i * len + t] = row[t].second;
+          }
+        }
+      });
+}
 
 double PairwiseDistances::krum_score(std::size_t i, std::size_t k,
-                                     std::span<const char> excluded,
-                                     std::vector<double>& scratch) const {
-  scratch.clear();
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (j == i) continue;
-    if (!excluded.empty() && excluded[j]) continue;
-    scratch.push_back(dist2(i, j));
-  }
-  const std::size_t kk = std::min(k, scratch.size());
-  std::partial_sort(scratch.begin(), scratch.begin() + std::ptrdiff_t(kk),
-                    scratch.end());
+                                     std::span<const char> excluded) const {
+  const std::size_t len = n_ - 1;
+  const std::uint32_t* idx = nbr_.data() + i * len;
+  const double* d2 = nbr_d2_.data() + i * len;
   double score = 0.0;
-  for (std::size_t t = 0; t < kk; ++t) score += scratch[t];
+  for (std::size_t t = 0, taken = 0; t < len && taken < k; ++t) {
+    if (!excluded.empty() && excluded[idx[t]]) continue;
+    score += d2[t];
+    ++taken;
+  }
   return score;
 }
 

@@ -5,6 +5,7 @@
 // plus pairwise-distance machinery shared by Krum/Bulyan/Min-Max/Min-Sum.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -41,8 +42,12 @@ std::vector<std::size_t> select_coordinates(std::size_t d, double frac,
 
 // Symmetric matrix of squared Euclidean distances between gradients,
 // stored as the packed upper triangle (n*(n-1)/2 doubles — half the dense
-// block). The matrix constructor runs the active vec::DistBackend pairwise
-// kernel (Gram GEMM or the direct pair loops) on the thread pool.
+// block), plus every row's neighbour list: the n-1 other rows sorted once
+// by ascending dist2, ties on the lower index. The constructor runs the
+// active vec::DistBackend pairwise kernel (Gram GEMM or the direct pair
+// loops) and the per-row sorts on the thread pool. Non-finite distances
+// arrive as +inf (see vec::pairwise_dist2_packed), so the sort key is a
+// strict weak order even when a row carries NaN or inf.
 class PairwiseDistances {
  public:
   explicit PairwiseDistances(std::span<const std::vector<float>> grads);
@@ -55,20 +60,20 @@ class PairwiseDistances {
   }
   std::size_t size() const { return n_; }
 
-  // Krum score of row i: the sum of its k smallest dist2(i, j) over the
-  // rows j != i with excluded[j] == 0 (an empty mask excludes nothing).
-  // `scratch` is caller-provided so iterative consumers (Bulyan's
-  // selection loop) do not reallocate per call. Candidates are gathered
-  // in ascending j and the k smallest are summed in ascending value
-  // order, so the score is deterministic and identical to scoring an
-  // explicit index subset.
+  // Krum score of row i: the sum of the first k entries of its neighbour
+  // list whose row is not excluded (an empty mask excludes nothing), i.e.
+  // its k smallest dist2(i, j) over the remaining rows, added in
+  // ascending value order — the same values in the same order as
+  // gathering the remaining row and partial_sort-ing it, so the score is
+  // bitwise identical to scoring an explicit index subset.
   double krum_score(std::size_t i, std::size_t k,
-                    std::span<const char> excluded,
-                    std::vector<double>& scratch) const;
+                    std::span<const char> excluded = {}) const;
 
  private:
   std::size_t n_;
-  std::vector<double> d2_;  // packed upper triangle
+  std::vector<double> d2_;          // packed upper triangle
+  std::vector<std::uint32_t> nbr_;  // n rows x (n-1) neighbour indices
+  std::vector<double> nbr_d2_;      // the matching distances
 };
 
 // Median of pairwise cosine similarities between g and every other gradient

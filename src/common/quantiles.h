@@ -26,8 +26,14 @@ double quantile(std::span<const double> xs, double q);
 double trimmed_mean(std::span<const double> xs, std::size_t trim);
 
 // Mean of the k values closest to the median of xs (Bulyan's coordinate
-// step). Precondition: 1 <= k <= xs.size().
-double mean_around_median(std::span<const double> xs, std::size_t k);
+// step), computed in place: xs is left permuted (NaNs last, the numbers
+// before them in ascending order). The median is that of the numbers;
+// the k values are added in ascending |x - med| order, the lower value
+// first on equal distance, so the result depends only on the values in
+// xs, never on their order. A NaN is never nearer the median than a
+// number and never enters a comparison: with fewer than k numbers in xs
+// the result is NaN. Precondition: 1 <= k <= xs.size().
+double mean_around_median_in_place(std::span<float> xs, std::size_t k);
 
 // Arithmetic mean; Precondition: non-empty.
 double mean(std::span<const double> xs);

@@ -94,7 +94,9 @@ class ByteReader {
   }
   void raw(void* out, std::size_t len) {
     need(len);
-    std::memcpy(out, bytes_.data() + pos_, len);
+    // An empty vector hands over a null `out`, and memcpy must never see
+    // a null pointer, even with len == 0.
+    if (len != 0) std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
   }
 

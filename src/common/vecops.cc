@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/parallel.h"
@@ -234,13 +235,22 @@ std::vector<float> gram_matrix(const common::GradientMatrix& g,
   return gram;
 }
 
+// A non-finite squared distance (a NaN or inf coordinate, or a float
+// overflow in the Gram entries) is reported as +inf on both backends: the
+// row is infinitely far from everything, so distance rankings stay a
+// strict weak order and never favour it. Finite values pass unchanged.
+inline double finite_or_inf(double d2) {
+  return std::isfinite(d2) ? d2 : std::numeric_limits<double>::infinity();
+}
+
 // dist2 from Gram entries; clamped at 0 because cancellation on
-// near-duplicate rows can push the identity slightly negative.
+// near-duplicate rows can push the identity slightly negative. The clamp
+// runs after the non-finite check: std::max(0.0, NaN) would return 0.
 inline double dist2_from_gram(const std::vector<float>& gram, std::size_t n,
                               std::size_t i, std::size_t j) {
   const double d2 = double(gram[i * n + i]) + double(gram[j * n + j]) -
                     2.0 * double(gram[i * n + j]);
-  return std::max(0.0, d2);
+  return std::max(0.0, finite_or_inf(d2));
 }
 
 // Offset of row i's packed-triangle segment: entries (i, j) for j > i.
@@ -264,7 +274,7 @@ std::vector<double> pairwise_dist2(const common::GradientMatrix& g) {
   return pairwise_block(
       g,
       [](std::span<const float> a, std::span<const float> b) {
-        return dist2(a, b);
+        return finite_or_inf(dist2(a, b));
       },
       /*self_dot=*/false);
 }
@@ -306,7 +316,8 @@ std::vector<double> pairwise_dist2_packed(const common::GradientMatrix& g) {
     for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   common::parallel_for(pairs.size(), [&](std::size_t p) {
     const auto [i, j] = pairs[p];
-    out[packed_row_offset(n, i) + j - i - 1] = dist2(g.row(i), g.row(j));
+    out[packed_row_offset(n, i) + j - i - 1] =
+        finite_or_inf(dist2(g.row(i), g.row(j)));
   });
   return out;
 }

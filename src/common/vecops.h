@@ -121,7 +121,8 @@ std::vector<double> row_dots(const common::GradientMatrix& g,
 
 // Dense symmetric n x n blocks, row-major, diagonal zero / self-dot.
 // Computed by the active DistBackend (one GEMM for the Gram path, scalar
-// pair loops for the direct path).
+// pair loops for the direct path). A non-finite squared distance is
+// reported as +inf on both backends.
 std::vector<double> pairwise_dist2(const common::GradientMatrix& g);
 std::vector<double> pairwise_dot(const common::GradientMatrix& g);
 

@@ -1,14 +1,17 @@
 // Aggregation-at-scale suite: the Gram (GEMM-backed) vs direct pairwise
-// backends, the packed-triangle PairwiseDistances, the column-panel
-// coordinate statistics, and the selection-based quantile/Krum-ranking
-// satellites. Cross-backend comparisons are tolerance-based (float-GEMM
-// vs double pair loops); everything within one backend — thread counts,
-// packed vs dense, panel vs per-coordinate — must be bitwise.
+// backends, the packed-triangle PairwiseDistances and its neighbour
+// lists, the column-panel coordinate statistics and Bulyan's window
+// kernel, hostile non-finite rows, and the selection-based
+// quantile/Krum-ranking satellites. Cross-backend comparisons are
+// tolerance-based (float-GEMM vs double pair loops); everything within
+// one backend — thread counts, packed vs dense, panel vs per-coordinate
+// — must be bitwise.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "aggregators/baselines.h"
@@ -215,7 +218,170 @@ TEST(ColumnPanels, SweepIsThreadCountInvariant) {
   EXPECT_EQ(tm.aggregate(m, ctx), tm_t1);
 }
 
+// ---- Bulyan coordinate kernel vs the seed copy-and-sort ---------------------
+
+// The pre-panel mean_around_median: copy, median, comparator sort of the
+// copy by |x - med|, sum of the first k — the bitwise oracle wherever no
+// two values share a distance.
+double seed_mean_around_median(std::span<const double> xs, std::size_t k) {
+  const double med = stats::median(xs);
+  std::vector<double> v(xs.begin(), xs.end());
+  std::sort(v.begin(), v.end(), [med](double a, double b) {
+    return std::abs(a - med) < std::abs(b - med);
+  });
+  double acc = 0.0;
+  for (std::size_t i = 0; i < k; ++i) acc += v[i];
+  return acc / double(k);
+}
+
+// The documented tie rule, spelled out: order by (|x - med|, x) with a
+// stable sort, sum the first k in that order.
+double tie_rule_mean_around_median(std::span<const float> xs,
+                                   std::size_t k) {
+  std::vector<double> v(xs.begin(), xs.end());
+  const double med = stats::median(v);
+  std::stable_sort(v.begin(), v.end(), [med](double a, double b) {
+    const double da = std::abs(a - med), db = std::abs(b - med);
+    return da < db || (da == db && a < b);
+  });
+  double acc = 0.0;
+  for (std::size_t i = 0; i < k; ++i) acc += v[i];
+  return acc / double(k);
+}
+
+double kernel(std::vector<float> column, std::size_t k) {
+  return stats::mean_around_median_in_place(column, k);
+}
+
+std::vector<std::size_t> window_sizes(std::size_t n) {
+  return {1, std::max<std::size_t>(1, n / 3), n};
+}
+
+TEST(CoordinateKernel, MatchesSeedBitwiseOnTieFreeColumns) {
+  Rng rng(111);
+  for (const std::size_t n : {5ul, 8ul, 33ul, 60ul, 61ul}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<float> column(n);
+      for (auto& x : column) x = static_cast<float>(rng.normal(0.1, 1.0));
+      std::vector<float> sorted(column);
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end());
+      const std::vector<double> wide(column.begin(), column.end());
+      for (const std::size_t beta : window_sizes(n)) {
+        // At even n the two middle values are always equidistant from
+        // their average. With beta >= 2 both are summed first, where
+        // their order cannot change the sum; at beta == 1 the seed kept
+        // whichever its sort left first, so only the tie rule decides.
+        const double expected =
+            n % 2 == 0 && beta == 1
+                ? tie_rule_mean_around_median(column, beta)
+                : seed_mean_around_median(wide, beta);
+        EXPECT_EQ(kernel(column, beta), expected)
+            << "n=" << n << " beta=" << beta << " trial=" << trial;
+      }
+    }
+  }
+}
+
+// int8-style grid columns: a handful of levels times one scale, plus
+// duplicated rows, so equal distances (both equal values and mirror
+// pairs around the median) are everywhere.
+std::vector<float> grid_column(std::size_t n, Rng& rng) {
+  const float scale = static_cast<float>(rng.uniform(0.001, 0.1));
+  std::vector<float> column(n);
+  for (auto& x : column) x = scale * float(rng.randint(-6, 6));
+  for (std::size_t i = 0; i + 3 < n; i += 4) column[i + 1] = column[i];
+  return column;
+}
+
+TEST(CoordinateKernel, TieHeavyColumnsFollowTheTieRule) {
+  Rng rng(112);
+  for (const std::size_t n : {5ul, 8ul, 33ul, 60ul, 61ul}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto column = grid_column(n, rng);
+      for (const std::size_t beta : window_sizes(n))
+        EXPECT_EQ(kernel(column, beta),
+                  tie_rule_mean_around_median(column, beta))
+            << "n=" << n << " beta=" << beta << " trial=" << trial;
+    }
+  }
+}
+
+TEST(CoordinateKernel, ResultIgnoresRowOrder) {
+  Rng rng(113);
+  for (const std::size_t n : {8ul, 60ul, 61ul}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      auto column = grid_column(n, rng);
+      std::vector<double> expected;
+      for (const std::size_t beta : window_sizes(n))
+        expected.push_back(kernel(column, beta));
+      std::vector<std::size_t> perm(n);
+      for (int shuffle = 0; shuffle < 5; ++shuffle) {
+        std::iota(perm.begin(), perm.end(), 0);
+        rng.shuffle(perm);
+        std::vector<float> permuted(n);
+        for (std::size_t i = 0; i < n; ++i) permuted[i] = column[perm[i]];
+        std::size_t w = 0;
+        for (const std::size_t beta : window_sizes(n))
+          EXPECT_EQ(kernel(permuted, beta), expected[w++])
+              << "n=" << n << " beta=" << beta;
+      }
+    }
+  }
+}
+
+TEST(CoordinateKernel, NaNIsNeverNearerTheMedianThanANumber) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> column = {nan, 3.0f, 1.0f, nan, 2.0f};
+  // Median of the numbers {1, 2, 3} is 2; the NaNs rank last.
+  EXPECT_EQ(kernel(column, 1), 2.0);
+  EXPECT_EQ(kernel(column, 3), 2.0);
+  EXPECT_TRUE(std::isnan(kernel(column, 4)));
+  EXPECT_TRUE(std::isnan(kernel({nan, nan}, 1)));
+}
+
 // ---- Krum ranking / Bulyan mask satellites ---------------------------------
+
+// The pre-neighbour-list Krum score: gather the remaining distances of
+// row i in ascending j, partial_sort the k smallest and add them in
+// ascending order.
+double seed_krum_score(const PairwiseDistances& pd, std::size_t i,
+                       std::size_t k, std::span<const char> excluded = {}) {
+  std::vector<double> row;
+  for (std::size_t j = 0; j < pd.size(); ++j)
+    if (j != i && (excluded.empty() || !excluded[j]))
+      row.push_back(pd.dist2(i, j));
+  const std::size_t kk = std::min(k, row.size());
+  std::partial_sort(row.begin(), row.begin() + std::ptrdiff_t(kk),
+                    row.end());
+  double score = 0.0;
+  for (std::size_t t = 0; t < kk; ++t) score += row[t];
+  return score;
+}
+
+TEST(NeighbourLists, ScoresMatchGatherPlusPartialSortBitwise) {
+  BackendGuard guard;
+  Rng rng(121);
+  for (const auto backend :
+       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
+    vec::set_dist_backend(backend);
+    // Zero rows 4 and 5 tie at distance 0; the huge-norm rows put ties
+    // and extreme values at both ends of every list.
+    const PairwiseDistances pd(adversarial_matrix(96, 122));
+    const std::size_t n = pd.size();
+    std::vector<char> excluded(n, 0);
+    for (int trial = 0; trial < 20; ++trial) {
+      if (trial > 0)
+        for (auto& e : excluded) e = rng.bernoulli(0.3) ? 1 : 0;
+      for (std::size_t i = 0; i < n; ++i)
+        for (const std::size_t k : {1ul, 3ul, n})
+          EXPECT_EQ(pd.krum_score(i, k, excluded),
+                    seed_krum_score(pd, i, k, excluded))
+              << "i=" << i << " k=" << k << " trial=" << trial;
+    }
+  }
+}
 
 TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
   BackendGuard guard;
@@ -229,16 +395,14 @@ TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
     krum.aggregate(m, ctx);
     const auto selected = krum.last_selected();
 
-    // Oracle: recompute the scores exactly as the aggregator does, then
-    // rank with a FULL sort under the same score-then-index ordering.
+    // Oracle: recompute the scores the seed way, then rank with a FULL
+    // sort under the same score-then-index ordering.
     const std::size_t n = m.rows();
     const std::size_t mm = std::min(ctx.assumed_byzantine, (n - 1) / 2);
     const std::size_t k = std::max<std::size_t>(1, n - mm - 2);
     const PairwiseDistances pd(m);
     std::vector<double> scores(n);
-    std::vector<double> scratch;
-    for (std::size_t i = 0; i < n; ++i)
-      scores[i] = pd.krum_score(i, k, {}, scratch);
+    for (std::size_t i = 0; i < n; ++i) scores[i] = seed_krum_score(pd, i, k);
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),
@@ -250,6 +414,43 @@ TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
         order.begin(), order.begin() + std::ptrdiff_t(std::min(k, n)));
     EXPECT_EQ(selected, expected);
   }
+}
+
+// The seed's erase-based iterative-Krum loop over the same
+// PairwiseDistances: the bitwise reference for Bulyan's phase 1.
+std::vector<std::size_t> erase_loop_selection(const PairwiseDistances& pd,
+                                              std::size_t assumed) {
+  const std::size_t n = pd.size();
+  const std::size_t mm = std::min(assumed, (n - 1) / 2);
+  const std::size_t theta = std::max<std::size_t>(1, n - 2 * mm);
+  std::vector<std::size_t> remaining(n);
+  std::iota(remaining.begin(), remaining.end(), 0);
+  std::vector<std::size_t> expected;
+  std::vector<double> row;
+  while (expected.size() < theta && !remaining.empty()) {
+    const std::size_t r = remaining.size();
+    const std::size_t k =
+        std::max<std::size_t>(1, r > mm + 2 ? r - mm - 2 : 1);
+    double best_score = std::numeric_limits<double>::max();
+    std::size_t best_pos = 0;
+    for (std::size_t a = 0; a < r; ++a) {
+      row.clear();
+      for (std::size_t b = 0; b < r; ++b)
+        if (b != a) row.push_back(pd.dist2(remaining[a], remaining[b]));
+      const std::size_t kk = std::min(k, row.size());
+      std::partial_sort(row.begin(), row.begin() + std::ptrdiff_t(kk),
+                        row.end());
+      double score = 0.0;
+      for (std::size_t t = 0; t < kk; ++t) score += row[t];
+      if (score < best_score) {
+        best_score = score;
+        best_pos = a;
+      }
+    }
+    expected.push_back(remaining[best_pos]);
+    remaining.erase(remaining.begin() + std::ptrdiff_t(best_pos));
+  }
+  return expected;
 }
 
 TEST(BulyanMask, ExcludeMaskSelectionMatchesEraseLoopBitwise) {
@@ -264,44 +465,102 @@ TEST(BulyanMask, ExcludeMaskSelectionMatchesEraseLoopBitwise) {
     agg::BulyanAggregator bulyan;
     const auto out = bulyan.aggregate(m, ctx);
     const auto selected = bulyan.last_selected();
-
-    // Oracle: the seed's erase-based iterative-Krum loop over the same
-    // PairwiseDistances.
-    const std::size_t n = m.rows();
-    const std::size_t mm = std::min(ctx.assumed_byzantine, (n - 1) / 2);
-    const std::size_t theta = std::max<std::size_t>(1, n - 2 * mm);
-    const PairwiseDistances pd(m);
-    std::vector<std::size_t> remaining(n);
-    std::iota(remaining.begin(), remaining.end(), 0);
-    std::vector<std::size_t> expected;
-    std::vector<double> row;
-    while (expected.size() < theta && !remaining.empty()) {
-      const std::size_t r = remaining.size();
-      const std::size_t k =
-          std::max<std::size_t>(1, r > mm + 2 ? r - mm - 2 : 1);
-      double best_score = std::numeric_limits<double>::max();
-      std::size_t best_pos = 0;
-      for (std::size_t a = 0; a < r; ++a) {
-        row.clear();
-        for (std::size_t b = 0; b < r; ++b)
-          if (b != a) row.push_back(pd.dist2(remaining[a], remaining[b]));
-        const std::size_t kk = std::min(k, row.size());
-        std::partial_sort(row.begin(), row.begin() + std::ptrdiff_t(kk),
-                          row.end());
-        double score = 0.0;
-        for (std::size_t t = 0; t < kk; ++t) score += row[t];
-        if (score < best_score) {
-          best_score = score;
-          best_pos = a;
-        }
-      }
-      expected.push_back(remaining[best_pos]);
-      remaining.erase(remaining.begin() + std::ptrdiff_t(best_pos));
-    }
-    EXPECT_EQ(selected, expected);
+    EXPECT_EQ(selected, erase_loop_selection(PairwiseDistances(m), 2));
     EXPECT_EQ(out.size(), m.cols());
     // The outlier row must not survive phase 1.
     EXPECT_EQ(std::count(selected.begin(), selected.end(), 0u), 0);
+  }
+}
+
+TEST(BulyanMask, BenchShapeSelectionMatchesEraseLoopAcrossThreads) {
+  BackendGuard guard;
+  // The round benchmark's Bulyan shape: n = 100, m = 20, and 20 identical
+  // MinMax-style crafted rows, whose zero mutual distances tie scores.
+  auto m = gaussian_matrix(100, 300, 0.05, 0.5, 131);
+  for (std::size_t i = 80; i < 100; ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      m.at(i, j) = 0.05f + (j % 3 == 0 ? 0.4f : -0.2f);
+  agg::GarContext ctx;
+  ctx.assumed_byzantine = 20;
+  for (const auto backend :
+       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
+    vec::set_dist_backend(backend);
+    common::set_thread_count(1);
+    const auto expected = erase_loop_selection(PairwiseDistances(m), 20);
+    ASSERT_EQ(expected.size(), 60u);
+    for (const std::size_t threads : {1ul, 4ul}) {
+      common::set_thread_count(threads);
+      agg::BulyanAggregator bulyan;
+      bulyan.aggregate(m, ctx);
+      EXPECT_EQ(bulyan.last_selected(), expected)
+          << "backend=" << int(backend) << " threads=" << threads;
+    }
+  }
+}
+
+// ---- hostile rows ----------------------------------------------------------
+
+TEST(HostileRows, NonFiniteRowsNeverTakeOverDistanceRules) {
+  BackendGuard guard;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::size_t, float>> bad;  // (row, value)
+  };
+  const std::vector<Case> cases = {
+      {"one NaN in row 0", {{0, nan}}},
+      {"+inf in row 0", {{0, inf}}},
+      {"NaN row 0 and -inf row 7", {{0, nan}, {7, -inf}}},
+  };
+  agg::GarContext ctx;
+  ctx.assumed_byzantine = 2;  // covers every case's bad rows
+  for (const auto backend :
+       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
+    vec::set_dist_backend(backend);
+    for (const auto& c : cases) {
+      auto m = gaussian_matrix(10, 40, 0.2, 1.0, 141);
+      for (const auto& [row, value] : c.bad) m.at(row, 3) = value;
+      agg::BulyanAggregator bulyan;
+      agg::MultiKrumAggregator krum;
+      for (agg::Aggregator* gar :
+           std::initializer_list<agg::Aggregator*>{&bulyan, &krum}) {
+        const auto out = gar->aggregate(m, ctx);
+        const auto selected = gar->last_selected();
+        EXPECT_FALSE(selected.empty());
+        for (const auto idx : selected) {
+          EXPECT_LT(idx, m.rows()) << gar->name() << ": " << c.name;
+          for (const auto& bad : c.bad)
+            EXPECT_NE(idx, bad.first) << gar->name() << ": " << c.name;
+        }
+        for (const float v : out)
+          ASSERT_TRUE(std::isfinite(v)) << gar->name() << ": " << c.name;
+      }
+    }
+  }
+}
+
+TEST(HostileRows, AllNaNRowsStillSelectInRangeIndices) {
+  BackendGuard guard;
+  common::GradientMatrix m(10, 16);
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (auto& v : m.row(i)) v = std::numeric_limits<float>::quiet_NaN();
+  agg::GarContext ctx;
+  ctx.assumed_byzantine = 2;
+  for (const auto backend :
+       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
+    vec::set_dist_backend(backend);
+    agg::BulyanAggregator bulyan;
+    agg::MultiKrumAggregator krum;
+    for (agg::Aggregator* gar :
+         std::initializer_list<agg::Aggregator*>{&bulyan, &krum}) {
+      gar->aggregate(m, ctx);
+      const auto selected = gar->last_selected();
+      EXPECT_EQ(selected.size(), 6u) << gar->name();
+      // Every score is +inf: ties go to the lower index.
+      for (std::size_t t = 0; t < selected.size(); ++t)
+        EXPECT_EQ(selected[t], t) << gar->name();
+    }
   }
 }
 

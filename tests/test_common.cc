@@ -176,9 +176,11 @@ TEST(Quantiles, TrimmedMeanDropsExtremes) {
 }
 
 TEST(Quantiles, MeanAroundMedian) {
-  const std::vector<double> xs = {0.0, 10.0, 11.0, 12.0, 100.0};
+  std::vector<float> xs = {100.0f, 10.0f, 0.0f, 12.0f, 11.0f};
   // median 11; the 3 closest are 10, 11, 12.
-  EXPECT_DOUBLE_EQ(stats::mean_around_median(xs, 3), 11.0);
+  EXPECT_DOUBLE_EQ(stats::mean_around_median_in_place(xs, 3), 11.0);
+  // The column is left sorted in place.
+  EXPECT_TRUE(std::is_sorted(xs.begin(), xs.end()));
 }
 
 TEST(Quantiles, MeanAndStddev) {
