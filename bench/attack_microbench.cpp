@@ -21,6 +21,7 @@
 // binary exits non-zero otherwise, so CI cannot stay green while either
 // side of the arms race regresses.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "attacks/minmax_minsum.h"
 #include "attacks/wirecraft.h"
 #include "bench_common.h"
+#include "common/gradient_matrix.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "fl/sweep.h"
@@ -200,11 +202,14 @@ void bench_wirecraft(std::size_t rounds) {
 void bench_craft_cost() {
   constexpr std::size_t kBenign = 36, kByz = 12, kDim = 8192, kReps = 20;
   Rng gen(41);
-  std::vector<std::vector<float>> benign, byz;
-  for (std::size_t i = 0; i < kBenign; ++i)
-    benign.push_back(gen.normal_vector(kDim, 0.05, 1.0));
-  for (std::size_t i = 0; i < kByz; ++i)
-    byz.push_back(gen.normal_vector(kDim, 0.05, 1.0));
+  common::GradientMatrix benign(kBenign, kDim), byz(kByz, kDim);
+  for (auto* m : {&benign, &byz})
+    for (std::size_t i = 0; i < m->rows(); ++i) {
+      const auto row = gen.normal_vector(kDim, 0.05, 1.0);
+      std::copy(row.begin(), row.end(), m->row(i).begin());
+    }
+  const auto benign_views = benign.row_views();
+  const auto byz_views = byz.row_views();
 
   comm::CompressionSpec sign1;
   sign1.codec = comm::CodecKind::kSign1;
@@ -226,14 +231,18 @@ void bench_craft_cost() {
   };
   for (Case& c : cases) {
     Rng rng(7);
-    auto in = attacks::make_attack_input(benign, byz, kBenign + kByz, kByz,
-                                         &rng);
+    attacks::AttackContext ctx;
+    ctx.benign_grads = benign_views;
+    ctx.byz_honest_grads = byz_views;
+    ctx.n_total = kBenign + kByz;
+    ctx.n_byzantine = kByz;
+    ctx.rng = &rng;
     volatile float sink = 0.0f;
     Stopwatch w;
     for (std::size_t rep = 0; rep < kReps; ++rep) {
-      in.ctx.round = rep;
+      ctx.round = rep;
       c.attack->begin_round(rep, rng);
-      const auto rows = c.attack->craft(in.ctx);
+      const auto rows = c.attack->craft(ctx);
       sink = sink + rows.front().front();
       // Close the loop so the adaptive layer pays its bookkeeping too.
       attacks::RoundFeedback fb;

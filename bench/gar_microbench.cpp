@@ -8,9 +8,7 @@
 // Krum/Bulyan — and that is exactly what this bench shows.
 //
 // All GAR benchmarks run the flat GradientMatrix entry point (the
-// trainer's zero-copy path); "<GAR>/legacy" variants measure the
-// vector-of-vectors adapter on the Table I grid shape so the copy
-// overhead stays visible. The `/threads:N` benchmarks pin the pool size
+// trainer's zero-copy path). The `/threads:N` benchmarks pin the pool size
 // (overriding SIGNGUARD_THREADS) — e.g.
 //   ./gar_microbench --benchmark_filter='SignGuard_50x1M'
 // compares SignGuard aggregation at n=50, d=1M across pool sizes, and
@@ -38,16 +36,6 @@
 namespace {
 
 using namespace signguard;
-
-std::vector<std::vector<float>> make_grads(std::size_t n, std::size_t d,
-                                           std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, 0.1, 1.0));
-  return out;
-}
 
 // One cached matrix per shape: the 50 x 1M fixture alone is 200 MB, so
 // every benchmark that needs it shares a single copy.
@@ -86,22 +74,6 @@ void run_gar_matrix(benchmark::State& state, const std::string& name,
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
   if (threads > 0) common::set_thread_count(0);
-}
-
-void run_gar_legacy(benchmark::State& state, const std::string& name) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto d = static_cast<std::size_t>(state.range(1));
-  const auto grads = make_grads(n, d, 42);
-  auto gar = fl::make_aggregator(name);
-  Rng rng(7);
-  agg::GarContext ctx;
-  ctx.assumed_byzantine = n / 5;
-  ctx.rng = &rng;
-  for (auto _ : state) {
-    auto out = gar->aggregate(grads, ctx);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 
 // ---- matrix kernel micro-benchmarks ---------------------------------------
@@ -187,14 +159,6 @@ void register_all() {
     b->Args({50, 131072});   // larger model
     b->Args({200, 8704});    // more clients
     b->Unit(benchmark::kMillisecond);
-
-    // Legacy adapter path on the grid shape: shows the cost of the
-    // vector-of-vectors copy relative to the flat path.
-    benchmark::RegisterBenchmark(
-        (name + "/legacy").c_str(),
-        [name](benchmark::State& s) { run_gar_legacy(s, name); })
-        ->Args({50, 8704})
-        ->Unit(benchmark::kMillisecond);
   }
 
   // The acceptance proof point: SignGuard at n=50 clients, d=1M

@@ -57,7 +57,7 @@ Grid axes (comma-separated lists; one scenario per combination):
   --collude=LIST        chaos-colluding base fraction (0 = off)    [0]
 
 Grid-wide scalars:
-  --profile=grid|paper  model profile                [grid]
+  --model=grid|paper    model profile                [grid]
   --codec-chunk=N       coords per wire chunk        [4096]
   --codec-k=F           top-k keep fraction          [0.05]
   --shard-merge=NAME    wmean|momed                  [wmean]
@@ -89,9 +89,7 @@ Observability (src/obs; see ARCHITECTURE.md "Observability"):
                         SIGNGUARD_THREADS)
   --profile             per-scenario per-stage cost table on stderr
                         (implies --obs, plus coordinator stage timing
-                        in the JSONL; --stage-profile is an alias —
-                        note --profile=VALUE still selects the model
-                        profile above)
+                        in the JSONL)
   --trace-out=DIR       enable timing spans (as if SIGNGUARD_TRACE=1)
                         and write DIR/trace.json (Chrome trace_event,
                         Perfetto-loadable) + DIR/metrics.prom
@@ -199,9 +197,20 @@ int main(int argc, char** argv) {
                  known.c_str());
     return 1;
   }
-  grid.profile = bench::arg_value(argc, argv, "profile", "grid") == "paper"
-                     ? fl::ModelProfile::kPaper
-                     : fl::ModelProfile::kGrid;
+  const std::string model = bench::arg_value(argc, argv, "model", "grid");
+  if (model != "grid" && model != "paper") {
+    std::fprintf(stderr, "--model=%s: expected grid or paper (see --help)\n",
+                 model.c_str());
+    return 2;
+  }
+  if (!bench::arg_values(argc, argv, "profile").empty()) {
+    std::fprintf(stderr,
+                 "--profile takes no value; the model profile is "
+                 "--model=grid|paper (see --help)\n");
+    return 2;
+  }
+  grid.profile = model == "paper" ? fl::ModelProfile::kPaper
+                                  : fl::ModelProfile::kGrid;
   grid.attacks = bench::split_csv(
       bench::arg_value(argc, argv, "attacks", "NoAttack,SignFlip,LIE,ByzMean"));
   grid.gars = expand_gars(bench::split_csv(
@@ -298,10 +307,7 @@ int main(int argc, char** argv) {
   opts.halt_after_round = std::strtoull(
       bench::arg_value(argc, argv, "halt-after-round", "0").c_str(), nullptr,
       10);
-  // Bare "--profile" (exact match) is the stage-cost table; the valued
-  // "--profile=grid|paper" form above never matches has_flag.
-  const bool stage_profile = bench::has_flag(argc, argv, "profile") ||
-                             bench::has_flag(argc, argv, "stage-profile");
+  const bool stage_profile = bench::has_flag(argc, argv, "profile");
   opts.obs_counters = bench::has_flag(argc, argv, "obs") || stage_profile;
   opts.obs_timing = stage_profile;
   const std::string trace_dir = bench::arg_value(argc, argv, "trace-out");

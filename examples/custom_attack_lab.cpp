@@ -50,7 +50,6 @@ class MedianOfMeansAggregator final : public agg::Aggregator {
  public:
   explicit MedianOfMeansAggregator(std::size_t buckets) : buckets_(buckets) {}
 
-  using agg::Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const agg::GarContext&) override {
     const std::size_t n = grads.rows();

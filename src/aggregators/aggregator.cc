@@ -10,24 +10,9 @@ namespace signguard::agg {
 // shapes are caller errors that must surface as typed exceptions in
 // every build mode — an n = 0 round reaching a rule would otherwise hit
 // (n - 1) / 2 underflow and out-of-bounds row reads.
-void check_grads(std::span<const std::vector<float>> grads) {
-  if (grads.empty())
-    throw std::invalid_argument("aggregate: empty gradient set");
-  for (const auto& g : grads)
-    if (g.size() != grads.front().size())
-      throw std::invalid_argument(
-          "aggregate: inconsistent gradient dimensions");
-}
-
 void check_grads(const common::GradientMatrix& grads) {
   if (grads.empty())
     throw std::invalid_argument("aggregate: empty gradient set");
-}
-
-std::vector<float> Aggregator::aggregate(
-    std::span<const std::vector<float>> grads, const GarContext& ctx) {
-  check_grads(grads);
-  return aggregate(common::GradientMatrix::from_vectors(grads), ctx);
 }
 
 }  // namespace signguard::agg

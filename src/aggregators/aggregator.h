@@ -4,20 +4,15 @@
 // the paper's comparison set live in this module; the SignGuard family
 // lives in src/core and implements the same interface.
 //
-// The primary entry point takes a flat common::GradientMatrix (one
-// contiguous n x d buffer, one row per client); every rule implements it
-// and the matrix kernels it uses run on the shared thread pool. The
-// legacy vector-of-vectors overload remains as a thin non-virtual adapter
-// (single copy into a matrix) so older call sites and tests keep working.
-// Derived classes pull it back into scope with `using
-// Aggregator::aggregate;`.
+// The one entry point takes a flat common::GradientMatrix (one contiguous
+// n x d buffer, one row per client); every rule implements it and the
+// matrix kernels it uses run on the shared thread pool.
 //
 // Per the paper's experimental note, baseline defenses are "favored" by
 // being told the true Byzantine count (ctx.assumed_byzantine); SignGuard
 // deliberately ignores it.
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,16 +32,10 @@ class Aggregator {
  public:
   virtual ~Aggregator() = default;
 
-  // Primary entry point. Throws std::invalid_argument on an empty
-  // gradient set (check_grads — typed in every build mode, never UB).
+  // Throws std::invalid_argument on an empty gradient set (check_grads —
+  // typed in every build mode, never UB).
   virtual std::vector<float> aggregate(const common::GradientMatrix& grads,
                                        const GarContext& ctx) = 0;
-
-  // Legacy adapter: copies the rows into a GradientMatrix and forwards.
-  // Throws std::invalid_argument when grads is empty or the rows have
-  // inconsistent dimensions.
-  std::vector<float> aggregate(std::span<const std::vector<float>> grads,
-                               const GarContext& ctx);
 
   virtual std::string name() const = 0;
 

@@ -12,7 +12,6 @@ namespace signguard::agg {
 // Plain arithmetic mean — the undefended FedAvg baseline.
 class MeanAggregator : public Aggregator {
  public:
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "Mean"; }
@@ -22,7 +21,6 @@ class MeanAggregator : public Aggregator {
 // and m smallest values per coordinate, average the rest.
 class TrimmedMeanAggregator : public Aggregator {
  public:
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "TrMean"; }
@@ -31,7 +29,6 @@ class TrimmedMeanAggregator : public Aggregator {
 // Coordinate-wise median (Yin et al., ICML'18).
 class MedianAggregator : public Aggregator {
  public:
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "Median"; }
@@ -43,7 +40,6 @@ class GeoMedAggregator : public Aggregator {
   explicit GeoMedAggregator(std::size_t max_iters = 50, double eps = 1e-8)
       : max_iters_(max_iters), eps_(eps) {}
 
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "GeoMed"; }
@@ -58,7 +54,6 @@ class GeoMedAggregator : public Aggregator {
 // n-m-2 best-scored gradients.
 class MultiKrumAggregator : public Aggregator {
  public:
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "Multi-Krum"; }
@@ -87,7 +82,6 @@ class MultiKrumAggregator : public Aggregator {
 // stats::mean_around_median_in_place).
 class BulyanAggregator : public Aggregator {
  public:
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "Bulyan"; }
@@ -114,7 +108,6 @@ class DnCAggregator : public Aggregator {
  public:
   explicit DnCAggregator(DnCConfig cfg = {}) : cfg_(cfg) {}
 
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "DnC"; }

@@ -1,14 +1,10 @@
 #pragma once
 // Internal helpers shared between the GAR implementations.
 
-#include <span>
-#include <vector>
-
 #include "common/gradient_matrix.h"
 
 namespace signguard::agg {
 
-void check_grads(std::span<const std::vector<float>> grads);
 void check_grads(const common::GradientMatrix& grads);
 
 }  // namespace signguard::agg

@@ -63,7 +63,6 @@ class ShardedAggregator : public Aggregator {
   ShardedAggregator(InnerFactory factory, std::uint64_t seed,
                     ShardedConfig cfg);
 
-  using Aggregator::aggregate;
   // Throws std::invalid_argument when grads is empty, or when S > 1 and
   // ctx.rng is null (the shard assignment has nowhere to draw from).
   // Each shard's context scales the Byzantine budget proportionally:

@@ -19,7 +19,6 @@ class SignSgdMajorityAggregator : public Aggregator {
  public:
   explicit SignSgdMajorityAggregator(double step = 1.0) : step_(step) {}
 
-  using Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const GarContext& ctx) override;
   std::string name() const override { return "SignSGD"; }

@@ -2,21 +2,6 @@
 
 namespace signguard::attacks {
 
-AttackInput make_attack_input(std::span<const std::vector<float>> benign,
-                              std::span<const std::vector<float>> byz_honest,
-                              std::size_t n_total, std::size_t n_byzantine,
-                              Rng* rng) {
-  AttackInput in;
-  in.benign_views.assign(benign.begin(), benign.end());
-  in.byz_views.assign(byz_honest.begin(), byz_honest.end());
-  in.ctx.benign_grads = in.benign_views;
-  in.ctx.byz_honest_grads = in.byz_views;
-  in.ctx.n_total = n_total;
-  in.ctx.n_byzantine = n_byzantine;
-  in.ctx.rng = rng;
-  return in;
-}
-
 std::vector<std::vector<float>> NoAttack::craft(const AttackContext& ctx) {
   std::vector<std::vector<float>> out;
   out.reserve(ctx.byz_honest_grads.size());

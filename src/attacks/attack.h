@@ -16,8 +16,8 @@
 //
 // Gradients arrive as borrowed row views (GradientView), which in the
 // trainer alias rows of the round's flat GradientMatrix — the attacker
-// observes the real buffers, no per-round copies. Legacy
-// vector-of-vectors call sites adapt through make_attack_input().
+// observes the real buffers, no per-round copies. Other callers build
+// the views with GradientMatrix::row_views().
 
 #include <memory>
 #include <span>
@@ -70,28 +70,6 @@ struct AttackContext {
   std::size_t round = 0;
   Rng* rng = nullptr;
 };
-
-// Owns the view arrays an AttackContext points into; the adapter for
-// legacy vector-of-vectors call sites (tests, examples). The context
-// stays valid for the holder's lifetime: moving is fine (the spans
-// reference heap buffers that moves preserve), but copying is deleted —
-// a copy's ctx would silently alias the source's view arrays.
-struct AttackInput {
-  AttackInput() = default;
-  AttackInput(AttackInput&&) = default;
-  AttackInput& operator=(AttackInput&&) = default;
-  AttackInput(const AttackInput&) = delete;
-  AttackInput& operator=(const AttackInput&) = delete;
-
-  std::vector<GradientView> benign_views;
-  std::vector<GradientView> byz_views;
-  AttackContext ctx;
-};
-
-AttackInput make_attack_input(std::span<const std::vector<float>> benign,
-                              std::span<const std::vector<float>> byz_honest,
-                              std::size_t n_total, std::size_t n_byzantine,
-                              Rng* rng);
 
 class Attack {
  public:

@@ -47,13 +47,6 @@ std::vector<float> LieAttack::craft_vector(
   return g;
 }
 
-std::vector<float> LieAttack::craft_vector(
-    std::span<const std::vector<float>> benign_grads, double z) {
-  const std::vector<GradientView> views(benign_grads.begin(),
-                                        benign_grads.end());
-  return craft_vector(std::span<const GradientView>(views), z);
-}
-
 std::vector<std::vector<float>> LieAttack::craft(const AttackContext& ctx) {
   if (ctx.n_byzantine == 0) return {};
   const double z =

@@ -20,11 +20,8 @@ class LieAttack : public Attack {
 
   // The malicious vector itself (all m Byzantine clients send a copy).
   // Exposed so ByzMean can embed a LIE vector and Fig. 2 can analyze it.
-  // The view overload is the primary; the vector-of-vectors one adapts.
   static std::vector<float> craft_vector(
       std::span<const GradientView> benign_grads, double z);
-  static std::vector<float> craft_vector(
-      std::span<const std::vector<float>> benign_grads, double z);
 
   // Eq. (2): largest z with Phi(z) < (n - floor(n/2 + 1)) / (n - m).
   static double z_max(std::size_t n, std::size_t m);

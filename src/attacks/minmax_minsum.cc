@@ -32,12 +32,6 @@ std::vector<float> make_perturbation(std::span<const GradientView> benign,
   return {};
 }
 
-std::vector<float> make_perturbation(
-    std::span<const std::vector<float>> benign, Perturbation p) {
-  const std::vector<GradientView> views(benign.begin(), benign.end());
-  return make_perturbation(std::span<const GradientView>(views), p);
-}
-
 double max_feasible_gamma(const std::function<bool(double)>& feasible,
                           double gamma_cap) {
   if (feasible(gamma_cap)) return gamma_cap;

@@ -54,12 +54,9 @@ class MinSumAttack : public Attack {
   double last_gamma_ = 0.0;
 };
 
-// Shared helpers (used by both attacks and their tests). The view
-// overload is the primary; the vector-of-vectors one adapts.
+// Shared helpers (used by both attacks and their tests).
 std::vector<float> make_perturbation(std::span<const GradientView> benign,
                                      Perturbation p);
-std::vector<float> make_perturbation(
-    std::span<const std::vector<float>> benign, Perturbation p);
 
 // Largest gamma in [0, gamma_cap] such that feasible(gamma) holds, found by
 // bisection; assumes feasible(0) and monotone infeasibility in gamma.

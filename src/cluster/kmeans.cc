@@ -158,9 +158,4 @@ ClusterResult kmeans(const common::GradientMatrix& points,
   return result;
 }
 
-ClusterResult kmeans(std::span<const std::vector<float>> points,
-                     const KMeansConfig& cfg, Rng& rng) {
-  return kmeans(common::GradientMatrix::from_vectors(points), cfg, rng);
-}
-
 }  // namespace signguard::cluster

@@ -3,9 +3,6 @@
 // two clusters suffice (all malicious clients sending one identical
 // vector, paper §IV-B), and as a comparison clusterer in tests/ablations.
 
-#include <span>
-#include <vector>
-
 #include "cluster/cluster_result.h"
 #include "common/gradient_matrix.h"
 #include "common/rng.h"
@@ -19,12 +16,9 @@ struct KMeansConfig {
 };
 
 // points: n rows of equal dimension. Returns labels over [0, k).
-// If n < k, every point gets its own cluster. The matrix overload is the
-// primary implementation (assignment parallelized over row spans); the
-// vector-of-vectors overload adapts into it.
+// If n < k, every point gets its own cluster. Assignment runs in
+// parallel over row spans.
 ClusterResult kmeans(const common::GradientMatrix& points,
-                     const KMeansConfig& cfg, Rng& rng);
-ClusterResult kmeans(std::span<const std::vector<float>> points,
                      const KMeansConfig& cfg, Rng& rng);
 
 }  // namespace signguard::cluster

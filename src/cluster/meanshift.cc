@@ -38,12 +38,6 @@ double estimate_bandwidth(const common::GradientMatrix& points,
   return std::max(acc / double(n), 1e-3);
 }
 
-double estimate_bandwidth(std::span<const std::vector<float>> points,
-                          double quantile) {
-  return estimate_bandwidth(common::GradientMatrix::from_vectors(points),
-                            quantile);
-}
-
 ClusterResult mean_shift(const common::GradientMatrix& points,
                          const MeanShiftConfig& cfg) {
   ClusterResult result;
@@ -115,11 +109,6 @@ ClusterResult mean_shift(const common::GradientMatrix& points,
   result.sizes.assign(result.n_clusters, 0);
   for (const int l : result.labels) ++result.sizes[std::size_t(l)];
   return result;
-}
-
-ClusterResult mean_shift(std::span<const std::vector<float>> points,
-                         const MeanShiftConfig& cfg) {
-  return mean_shift(common::GradientMatrix::from_vectors(points), cfg);
 }
 
 }  // namespace signguard::cluster

@@ -5,9 +5,6 @@
 // The number of clusters is adaptive: every convergent mode within
 // bandwidth/2 of another is merged.
 
-#include <span>
-#include <vector>
-
 #include "cluster/cluster_result.h"
 #include "common/gradient_matrix.h"
 
@@ -24,16 +21,11 @@ struct MeanShiftConfig {
 
 // Estimate a bandwidth as the given quantile of the pairwise distance
 // distribution; returns a small positive floor when points coincide.
-// Matrix overloads are the primary implementations (mode seeking runs per
-// point on the thread pool); the vector-of-vectors overloads adapt.
+// Mode seeking runs per point on the thread pool.
 double estimate_bandwidth(const common::GradientMatrix& points,
-                          double quantile);
-double estimate_bandwidth(std::span<const std::vector<float>> points,
                           double quantile);
 
 ClusterResult mean_shift(const common::GradientMatrix& points,
-                         const MeanShiftConfig& cfg = {});
-ClusterResult mean_shift(std::span<const std::vector<float>> points,
                          const MeanShiftConfig& cfg = {});
 
 }  // namespace signguard::cluster

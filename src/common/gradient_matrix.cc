@@ -1,7 +1,7 @@
 #include "common/gradient_matrix.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "common/parallel.h"
 
@@ -17,24 +17,18 @@ GradientMatrix GradientMatrix::from_views(
     std::span<const std::span<const float>> rows) {
   GradientMatrix m;
   if (rows.empty()) return m;
+  for (const auto& r : rows)
+    if (r.size() != rows.front().size())
+      throw std::invalid_argument(
+          "GradientMatrix: rows of inconsistent dimension");
   m.rows_ = rows.size();
   m.cols_ = rows.front().size();
   m.data_.resize(m.rows_ * m.cols_);
   parallel_for(m.rows_, [&](std::size_t i) {
-    assert(rows[i].size() == m.cols_);
     std::copy(rows[i].begin(), rows[i].end(),
               m.data_.begin() + std::ptrdiff_t(i * m.cols_));
   });
   return m;
-}
-
-std::vector<std::vector<float>> GradientMatrix::to_vectors() const {
-  std::vector<std::vector<float>> out(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const auto r = row(i);
-    out[i].assign(r.begin(), r.end());
-  }
-  return out;
 }
 
 void GradientMatrix::fill_zero() {

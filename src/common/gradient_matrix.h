@@ -1,13 +1,11 @@
 #pragma once
 // The flat gradient representation of the aggregation pipeline: one
 // contiguous n_clients x dim float buffer, one row per client gradient.
-// Replaces the legacy std::vector<std::vector<float>> shape in every hot
-// path — a round's gradients live in a single allocation, rows are
-// std::span views, and the matrix kernels in common/vecops.h iterate it
-// with the thread pool from common/parallel.h.
-//
-// Legacy call sites keep working through from_vectors()/to_vectors() and
-// the adapter overloads the aggregator/filter layers retain.
+// Every GAR, filter, clusterer and statistics kernel takes this one shape:
+// a round's gradients live in a single allocation, rows are std::span
+// views, and the matrix kernels in common/vecops.h iterate it with the
+// thread pool from common/parallel.h. from_vectors() is the one import of
+// a vector-of-vectors, for tests and examples.
 
 #include <cstddef>
 #include <span>
@@ -23,17 +21,13 @@ class GradientMatrix {
   GradientMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
 
-  // Single-copy import of the legacy vector-of-vectors shape.
-  // Precondition: all rows share the front row's dimension.
+  // Single-copy imports of a vector-of-vectors or of borrowed row views
+  // (e.g. rows of another matrix). Throw std::invalid_argument, in every
+  // build mode, when the rows do not all share one dimension.
   static GradientMatrix from_vectors(
       std::span<const std::vector<float>> rows);
-
-  // Import from borrowed row views (e.g. rows of another matrix).
   static GradientMatrix from_views(
       std::span<const std::span<const float>> rows);
-
-  // Export back to the legacy shape (copies).
-  std::vector<std::vector<float>> to_vectors() const;
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

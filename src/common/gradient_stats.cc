@@ -69,10 +69,6 @@ std::vector<std::size_t> select_coordinates(std::size_t d, double frac,
   return rng.sample_without_replacement(d, k);
 }
 
-PairwiseDistances::PairwiseDistances(
-    std::span<const std::vector<float>> grads)
-    : PairwiseDistances(common::GradientMatrix::from_vectors(grads)) {}
-
 PairwiseDistances::PairwiseDistances(const common::GradientMatrix& grads)
     : n_(grads.rows()), d2_(vec::pairwise_dist2_packed(grads)) {
   if (n_ < 2) return;
@@ -108,18 +104,6 @@ double PairwiseDistances::krum_score(std::size_t i, std::size_t k,
     ++taken;
   }
   return score;
-}
-
-double median_pairwise_cosine(std::span<const std::vector<float>> grads,
-                              std::size_t self) {
-  assert(grads.size() >= 2);
-  std::vector<double> sims;
-  sims.reserve(grads.size() - 1);
-  for (std::size_t j = 0; j < grads.size(); ++j) {
-    if (j == self) continue;
-    sims.push_back(vec::cosine(grads[self], grads[j]));
-  }
-  return stats::median(sims);
 }
 
 std::vector<double> median_pairwise_cosines(

@@ -50,7 +50,6 @@ std::vector<std::size_t> select_coordinates(std::size_t d, double frac,
 // strict weak order even when a row carries NaN or inf.
 class PairwiseDistances {
  public:
-  explicit PairwiseDistances(std::span<const std::vector<float>> grads);
   explicit PairwiseDistances(const common::GradientMatrix& grads);
 
   double dist2(std::size_t i, std::size_t j) const {
@@ -76,15 +75,10 @@ class PairwiseDistances {
   std::vector<double> nbr_d2_;      // the matching distances
 };
 
-// Median of pairwise cosine similarities between g and every other gradient
-// in `grads` except index `self` — the "correct gradient" proxy the paper
-// suggests when no previous aggregate is available.
-double median_pairwise_cosine(std::span<const std::vector<float>> grads,
-                              std::size_t self);
-
-// Reference-free similarity proxies for every client at once, derived
-// from one threaded pairwise block instead of n independent scans:
-// median over j != i of cos(g_i, g_j), and of ||g_i - g_j||.
+// Reference-free similarity proxies for every client at once — the
+// "correct gradient" proxy the paper suggests when no previous aggregate
+// is available — derived from one threaded pairwise block: median over
+// j != i of cos(g_i, g_j), and of ||g_i - g_j||.
 std::vector<double> median_pairwise_cosines(
     const common::GradientMatrix& grads);
 std::vector<double> median_pairwise_distances(

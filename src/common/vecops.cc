@@ -95,25 +95,6 @@ std::vector<float> scaled(std::span<const float> a, double alpha) {
   return out;
 }
 
-std::vector<float> mean_of(std::span<const std::vector<float>> vs) {
-  const std::vector<std::span<const float>> views(vs.begin(), vs.end());
-  return mean_of(std::span<const std::span<const float>>(views));
-}
-
-std::vector<float> mean_of_subset(std::span<const std::vector<float>> vs,
-                                  std::span<const std::size_t> indices) {
-  assert(!indices.empty());
-  std::vector<float> out(vs.front().size(), 0.0f);
-  for (const std::size_t idx : indices) axpy(1.0, vs[idx], out);
-  scale(out, 1.0 / double(indices.size()));
-  return out;
-}
-
-CoordinateMoments coordinate_moments(std::span<const std::vector<float>> vs) {
-  const std::vector<std::span<const float>> views(vs.begin(), vs.end());
-  return coordinate_moments(std::span<const std::span<const float>>(views));
-}
-
 void clip_norm(std::span<float> x, double bound) {
   const double n = norm(x);
   if (n > bound && n > 0.0) scale(x, bound / n);
@@ -130,7 +111,7 @@ void zero(std::span<float> out) {
   for (auto& v : out) v = 0.0f;
 }
 
-// ---- borrowed-row-set overloads --------------------------------------------
+// ---- borrowed-row-set kernels -----------------------------------------------
 
 std::vector<float> mean_of(std::span<const std::span<const float>> vs) {
   assert(!vs.empty());

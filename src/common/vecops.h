@@ -64,20 +64,11 @@ std::vector<float> add(std::span<const float> a, std::span<const float> b);
 // out = alpha * a.
 std::vector<float> scaled(std::span<const float> a, double alpha);
 
-// Arithmetic mean of a non-empty set of equal-length vectors.
-std::vector<float> mean_of(std::span<const std::vector<float>> vs);
-
-// Mean of the subset vs[idx] for idx in `indices` (non-empty).
-std::vector<float> mean_of_subset(std::span<const std::vector<float>> vs,
-                                  std::span<const std::size_t> indices);
-
-// Coordinate-wise mean and standard deviation (population, i.e. /n) over a
-// set of equal-length vectors.
+// Coordinate-wise mean and standard deviation (population, i.e. /n).
 struct CoordinateMoments {
   std::vector<float> mean;
   std::vector<float> stddev;
 };
-CoordinateMoments coordinate_moments(std::span<const std::vector<float>> vs);
 
 // In-place rescale so that ||x|| <= bound (no-op when already within, or
 // when ||x|| == 0).
@@ -89,10 +80,12 @@ std::vector<float> sign(std::span<const float> a);
 // Fills `out` with zeros; convenience for accumulators.
 void zero(std::span<float> out);
 
-// ---- borrowed-row-set overloads --------------------------------------------
-// Same math as the vector-of-vectors versions, over spans that typically
-// alias GradientMatrix rows (the attack layer's AttackContext shape).
+// ---- borrowed-row-set kernels -----------------------------------------------
+// Sequential kernels over a non-empty set of equal-length row views that
+// typically alias GradientMatrix rows (the attack layer's AttackContext
+// shape).
 
+// Arithmetic mean of the rows.
 std::vector<float> mean_of(std::span<const std::span<const float>> vs);
 CoordinateMoments coordinate_moments(
     std::span<const std::span<const float>> vs);

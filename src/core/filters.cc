@@ -44,11 +44,6 @@ NormFilterResult norm_filter(const common::GradientMatrix& grads,
   return norm_filter_from_norms(vec::row_norms(grads), cfg);
 }
 
-NormFilterResult norm_filter(std::span<const std::vector<float>> grads,
-                             const NormFilterConfig& cfg) {
-  return norm_filter(common::GradientMatrix::from_vectors(grads), cfg);
-}
-
 SignClusterResult sign_cluster_filter(const common::GradientMatrix& grads,
                                       std::span<const float> reference,
                                       double median_norm,
@@ -120,10 +115,10 @@ SignClusterResult sign_cluster_filter_from_stats(
   assert(!has_similarity || similarity.size() == n);
 
   // Feature rows live in their own small flat matrix (n x 3 or n x 4)
-  // that the clusterers consume as row spans; the legacy per-row vectors
-  // are kept on the result for diagnostics and tests.
+  // that the clusterers consume and the result keeps for diagnostics.
   const std::size_t feat_dim = has_similarity ? 4 : 3;
-  common::GradientMatrix features(n, feat_dim);
+  auto& features = result.features;
+  features = common::GradientMatrix(n, feat_dim);
   for (std::size_t i = 0; i < n; ++i) {
     const auto f = features.row(i);
     f[0] = static_cast<float>(stats[i].pos);
@@ -131,7 +126,6 @@ SignClusterResult sign_cluster_filter_from_stats(
     f[2] = static_cast<float>(stats[i].neg);
     if (has_similarity) f[3] = static_cast<float>(similarity[i]);
   }
-  result.features = features.to_vectors();
 
   cluster::ClusterResult cr;
   if (cfg.clusterer == Clusterer::kMeanShift) {
@@ -144,14 +138,6 @@ SignClusterResult sign_cluster_filter_from_stats(
   result.n_clusters = cr.n_clusters;
   result.accepted = cr.members(cr.largest_cluster());
   return result;
-}
-
-SignClusterResult sign_cluster_filter(
-    std::span<const std::vector<float>> grads,
-    std::span<const float> reference, double median_norm,
-    const SignClusterConfig& cfg, Rng& rng) {
-  return sign_cluster_filter(common::GradientMatrix::from_vectors(grads),
-                             reference, median_norm, cfg, rng);
 }
 
 std::vector<float> clipped_mean(const common::GradientMatrix& grads,
@@ -173,13 +159,6 @@ std::vector<float> clipped_mean(const common::GradientMatrix& grads,
     });
   }
   return vec::weighted_mean_of_subset(grads, selected, weights);
-}
-
-std::vector<float> clipped_mean(std::span<const std::vector<float>> grads,
-                                std::span<const std::size_t> selected,
-                                double bound, bool clip) {
-  return clipped_mean(common::GradientMatrix::from_vectors(grads), selected,
-                      bound, clip);
 }
 
 std::vector<std::size_t> intersect_indices(std::span<const std::size_t> a,

@@ -4,10 +4,9 @@
 // aggregation step. The SignGuard aggregator composes them; the Table III
 // ablation bench toggles them one by one.
 //
-// Matrix overloads are the primary implementations: row norms, the fused
-// sign-statistic pass and the pairwise similarity blocks all run on the
-// shared thread pool. The vector-of-vectors overloads adapt via one copy
-// into a GradientMatrix.
+// Every filter takes the round's common::GradientMatrix: row norms, the
+// fused sign-statistic pass and the pairwise similarity blocks all run on
+// the shared thread pool.
 
 #include <span>
 #include <vector>
@@ -34,11 +33,9 @@ struct NormFilterResult {
 
 NormFilterResult norm_filter(const common::GradientMatrix& grads,
                              const NormFilterConfig& cfg);
-NormFilterResult norm_filter(std::span<const std::vector<float>> grads,
-                             const NormFilterConfig& cfg);
 
 // Statistics-input entry point: the same filter given precomputed
-// per-gradient norms (the matrix overloads delegate here after one
+// per-gradient norms (norm_filter delegates here after one
 // vec::row_norms pass). This is what the compressed-domain wire path
 // feeds with comm::wire_row_norms — bitwise-identical norms in, so
 // bitwise-identical admission decisions out.
@@ -62,7 +59,7 @@ struct SignClusterConfig {
 
 struct SignClusterResult {
   std::vector<std::size_t> accepted;        // S2: the largest cluster
-  std::vector<std::vector<float>> features; // per-gradient feature rows
+  common::GradientMatrix features;          // one feature row per gradient
   std::size_t n_clusters = 0;
 };
 
@@ -74,18 +71,15 @@ SignClusterResult sign_cluster_filter(const common::GradientMatrix& grads,
                                       std::span<const float> reference,
                                       double median_norm,
                                       const SignClusterConfig& cfg, Rng& rng);
-SignClusterResult sign_cluster_filter(
-    std::span<const std::vector<float>> grads, std::span<const float> reference,
-    double median_norm, const SignClusterConfig& cfg, Rng& rng);
 
 // Statistics-input entry point: clustering on precomputed per-client
 // sign statistics (plus the similarity feature when cfg.similarity is
 // not kNone — `similarity` must then hold one value per client; it is
-// ignored otherwise). The matrix overload delegates here after its
+// ignored otherwise). sign_cluster_filter delegates here after its
 // fused sign_statistics pass; the wire path feeds it from
-// comm::wire_sign_stats. Consumes the Rng exactly like the matrix
-// overload's clustering stage (only kKMeans2 draws), so the two paths
-// stay stream-aligned.
+// comm::wire_sign_stats. Consumes the Rng exactly like
+// sign_cluster_filter's clustering stage (only kKMeans2 draws), so the
+// two paths stay stream-aligned.
 SignClusterResult sign_cluster_filter_from_stats(
     std::span<const SignStats> stats, std::span<const double> similarity,
     const SignClusterConfig& cfg, Rng& rng);
@@ -104,9 +98,6 @@ std::vector<float> clipped_mean(const common::GradientMatrix& grads,
                                 std::span<const std::size_t> selected,
                                 double bound, bool clip = true,
                                 std::span<const double> row_norms = {});
-std::vector<float> clipped_mean(std::span<const std::vector<float>> grads,
-                                std::span<const std::size_t> selected,
-                                double bound, bool clip = true);
 
 // Sorted intersection of two index sets (each unsorted, duplicate-free).
 std::vector<std::size_t> intersect_indices(std::span<const std::size_t> a,

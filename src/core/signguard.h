@@ -43,7 +43,6 @@ class SignGuard : public agg::Aggregator {
  public:
   explicit SignGuard(SignGuardConfig cfg = {});
 
-  using agg::Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const agg::GarContext& ctx) override;
 

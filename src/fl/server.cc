@@ -15,18 +15,7 @@ Server::Server(std::unique_ptr<agg::Aggregator> gar,
 
 const std::vector<float>& Server::step(const common::GradientMatrix& grads,
                                        const agg::GarContext& ctx) {
-  last_aggregate_ = gar_->aggregate(grads, ctx);
-  assert(last_aggregate_.size() == params_.size());
-  optimizer_.step(params_, last_aggregate_);
-  return last_aggregate_;
-}
-
-const std::vector<float>& Server::step(
-    std::span<const std::vector<float>> grads, const agg::GarContext& ctx) {
-  last_aggregate_ = gar_->aggregate(grads, ctx);
-  assert(last_aggregate_.size() == params_.size());
-  optimizer_.step(params_, last_aggregate_);
-  return last_aggregate_;
+  return apply_aggregate(gar_->aggregate(grads, ctx));
 }
 
 const std::vector<float>& Server::apply_aggregate(

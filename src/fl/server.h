@@ -20,11 +20,8 @@ class Server {
          double lr, double momentum);
 
   // One synchronous round: aggregate + parameter update. Returns the
-  // aggregated (pre-momentum) global gradient. The matrix overload is the
-  // zero-copy path the trainer uses; the legacy overload adapts.
+  // aggregated (pre-momentum) global gradient.
   const std::vector<float>& step(const common::GradientMatrix& grads,
-                                 const agg::GarContext& ctx);
-  const std::vector<float>& step(std::span<const std::vector<float>> grads,
                                  const agg::GarContext& ctx);
 
   // Applies an aggregate the caller computed through a non-matrix GAR

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "fl/sweep.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
@@ -55,11 +56,10 @@ constexpr std::size_t kDim = 8;
 constexpr std::size_t kBenign = 3;
 constexpr std::size_t kByz = 2;
 
-attacks::AttackInput oracle_round(Rng* rng, float honest_value = 0.0f) {
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.assign(kBenign, std::vector<float>(kDim, 0.0f));
-  byz.assign(kByz, std::vector<float>(kDim, honest_value));
-  return attacks::make_attack_input(benign, byz, kBenign + kByz, kByz, rng);
+test::AttackRound oracle_round(Rng* rng, float honest_value = 0.0f) {
+  return test::AttackRound(test::constant_matrix(kBenign, kDim, 0.0f),
+                           test::constant_matrix(kByz, kDim, honest_value),
+                           kBenign + kByz, rng);
 }
 
 // One synthetic round against a threshold filter: rows whose amplitude
@@ -203,10 +203,8 @@ TEST(AdaptiveOptionsValidation, DegenerateOptionsAreTypedErrors) {
   // And the all-Byzantine craft has no anchor.
   AdaptiveAttack atk(inner());
   Rng rng(3);
-  static thread_local std::vector<std::vector<float>> none, byz;
-  none.clear();
-  byz.assign(2, std::vector<float>(kDim, 0.0f));
-  const auto in = attacks::make_attack_input(none, byz, 2, 2, &rng);
+  const test::AttackRound in(common::GradientMatrix(),
+                             test::constant_matrix(2, kDim, 0.0f), 2, &rng);
   EXPECT_THROW(atk.craft(in.ctx), std::invalid_argument);
 }
 
@@ -228,10 +226,8 @@ TEST(ChaosCollude, DegradedRoundsTriggerFullCollusionBursts) {
 
   Rng rng(7);
   const std::size_t m = 4;
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.assign(3, std::vector<float>(kDim, 0.0f));
-  byz.assign(m, std::vector<float>(kDim, 0.5f));
-  auto in = attacks::make_attack_input(benign, byz, 3 + m, m, &rng);
+  test::AttackRound in(test::constant_matrix(3, kDim, 0.0f),
+                       test::constant_matrix(m, kDim, 0.5f), 3 + m, &rng);
 
   // Outside a burst, llround(fraction * m) inner rows collude and the
   // rest send their honest gradients (0.5f rows).

@@ -11,6 +11,7 @@
 #include "aggregators/signsgd.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "test_support.h"
 
 namespace signguard::agg {
 namespace {
@@ -26,6 +27,9 @@ std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
   return out;
 }
 
+using common::GradientMatrix;
+using test::matrix;
+
 GarContext ctx_with(std::size_t m, Rng* rng = nullptr) {
   GarContext ctx;
   ctx.assumed_byzantine = m;
@@ -34,7 +38,7 @@ GarContext ctx_with(std::size_t m, Rng* rng = nullptr) {
 }
 
 TEST(Mean, ExactAverage) {
-  const std::vector<std::vector<float>> g = {{1.0f, 2.0f}, {3.0f, 6.0f}};
+  const auto g = matrix({{1.0f, 2.0f}, {3.0f, 6.0f}});
   MeanAggregator mean;
   const auto out = mean.aggregate(g, ctx_with(0));
   EXPECT_FLOAT_EQ(out[0], 2.0f);
@@ -42,15 +46,14 @@ TEST(Mean, ExactAverage) {
 }
 
 TEST(TrimmedMean, RemovesExtremesPerCoordinate) {
-  const std::vector<std::vector<float>> g = {
-      {100.0f}, {1.0f}, {2.0f}, {3.0f}, {-100.0f}};
+  const auto g = matrix({{100.0f}, {1.0f}, {2.0f}, {3.0f}, {-100.0f}});
   TrimmedMeanAggregator tm;
   const auto out = tm.aggregate(g, ctx_with(1));
   EXPECT_FLOAT_EQ(out[0], 2.0f);
 }
 
 TEST(TrimmedMean, ClampsOversizedTrim) {
-  const std::vector<std::vector<float>> g = {{1.0f}, {2.0f}, {3.0f}};
+  const auto g = matrix({{1.0f}, {2.0f}, {3.0f}});
   TrimmedMeanAggregator tm;
   const auto out = tm.aggregate(g, ctx_with(10));  // trim clamped to 1
   EXPECT_FLOAT_EQ(out[0], 2.0f);
@@ -58,10 +61,9 @@ TEST(TrimmedMean, ClampsOversizedTrim) {
 
 TEST(Median, OddAndEvenCounts) {
   MedianAggregator med;
-  const std::vector<std::vector<float>> odd = {{1.0f}, {9.0f}, {2.0f}};
+  const auto odd = matrix({{1.0f}, {9.0f}, {2.0f}});
   EXPECT_FLOAT_EQ(med.aggregate(odd, ctx_with(0))[0], 2.0f);
-  const std::vector<std::vector<float>> even = {{1.0f}, {2.0f}, {3.0f},
-                                                {10.0f}};
+  const auto even = matrix({{1.0f}, {2.0f}, {3.0f}, {10.0f}});
   EXPECT_FLOAT_EQ(med.aggregate(even, ctx_with(0))[0], 2.5f);
 }
 
@@ -69,37 +71,38 @@ TEST(Median, RobustToMinorityOutliers) {
   auto g = gaussian_grads(9, 32, 1.0, 0.1, 1);
   for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(32, 1e6f));
   MedianAggregator med;
-  const auto out = med.aggregate(g, ctx_with(4));
+  const auto out = med.aggregate(GradientMatrix::from_vectors(g), ctx_with(4));
   for (const float v : out) EXPECT_NEAR(v, 1.0f, 0.5f);
 }
 
 TEST(GeoMed, MatchesMedianOn1D) {
   // In 1-D the geometric median is the coordinate median.
-  const std::vector<std::vector<float>> g = {{0.0f}, {1.0f}, {10.0f}};
+  const auto g = matrix({{0.0f}, {1.0f}, {10.0f}});
   GeoMedAggregator gm;
   EXPECT_NEAR(gm.aggregate(g, ctx_with(0))[0], 1.0f, 1e-3);
 }
 
 TEST(GeoMed, MinimizesSumOfDistances) {
-  const auto g = gaussian_grads(15, 8, 0.0, 1.0, 2);
+  const auto g = test::gaussian_matrix(15, 8, 0.0, 1.0, 2);
   GeoMedAggregator gm;
   const auto med = gm.aggregate(g, ctx_with(0));
   auto cost = [&](std::span<const float> x) {
     double acc = 0.0;
-    for (const auto& gi : g) acc += vec::dist(gi, x);
+    for (std::size_t i = 0; i < g.rows(); ++i) acc += vec::dist(g.row(i), x);
     return acc;
   };
   const double med_cost = cost(med);
   // The geometric median must beat the mean and every input point.
   EXPECT_LE(med_cost, cost(vec::mean_of(g)) + 1e-6);
-  for (const auto& gi : g) EXPECT_LE(med_cost, cost(gi) + 1e-6);
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    EXPECT_LE(med_cost, cost(g.row(i)) + 1e-6);
 }
 
 TEST(GeoMed, RobustToLargeOutliers) {
   auto g = gaussian_grads(12, 16, 2.0, 0.1, 3);
   for (int i = 0; i < 5; ++i) g.push_back(std::vector<float>(16, -1e5f));
   GeoMedAggregator gm;
-  const auto out = gm.aggregate(g, ctx_with(5));
+  const auto out = gm.aggregate(GradientMatrix::from_vectors(g), ctx_with(5));
   for (const float v : out) EXPECT_NEAR(v, 2.0f, 0.5f);
 }
 
@@ -108,14 +111,14 @@ TEST(MultiKrum, PicksBenignUnderBlatantOutliers) {
   g.push_back(std::vector<float>(16, 500.0f));
   g.push_back(std::vector<float>(16, -500.0f));
   MultiKrumAggregator krum;
-  const auto out = krum.aggregate(g, ctx_with(2));
+  const auto out = krum.aggregate(GradientMatrix::from_vectors(g), ctx_with(2));
   for (const float v : out) EXPECT_NEAR(v, 0.5f, 0.3f);
   // Outlier indices 8 and 9 must not be selected.
   for (const auto idx : krum.last_selected()) EXPECT_LT(idx, 8u);
 }
 
 TEST(MultiKrum, SelectionSizeMatchesRule) {
-  const auto g = gaussian_grads(10, 8, 0.0, 1.0, 5);
+  const auto g = test::gaussian_matrix(10, 8, 0.0, 1.0, 5);
   MultiKrumAggregator krum;
   krum.aggregate(g, ctx_with(2));
   // c = n - m - 2 = 6.
@@ -123,14 +126,14 @@ TEST(MultiKrum, SelectionSizeMatchesRule) {
 }
 
 TEST(MultiKrum, NoByzantineStillAverages) {
-  const auto g = gaussian_grads(6, 8, 1.0, 0.01, 6);
+  const auto g = test::gaussian_matrix(6, 8, 1.0, 0.01, 6);
   MultiKrumAggregator krum;
   const auto out = krum.aggregate(g, ctx_with(0));
   for (const float v : out) EXPECT_NEAR(v, 1.0f, 0.1f);
 }
 
 TEST(Bulyan, SelectsThetaGradients) {
-  const auto g = gaussian_grads(14, 8, 0.0, 1.0, 7);
+  const auto g = test::gaussian_matrix(14, 8, 0.0, 1.0, 7);
   BulyanAggregator bulyan;
   bulyan.aggregate(g, ctx_with(2));
   // theta = n - 2m = 10.
@@ -146,7 +149,8 @@ TEST(Bulyan, RobustToCoordinateSpikes) {
   g.push_back(evil);
   g.push_back(evil);
   BulyanAggregator bulyan;
-  const auto out = bulyan.aggregate(g, ctx_with(2));
+  const auto out =
+      bulyan.aggregate(GradientMatrix::from_vectors(g), ctx_with(2));
   EXPECT_NEAR(out[3], 1.0f, 0.5f);
 }
 
@@ -162,7 +166,8 @@ TEST(DnC, FiltersCollinearOutliers) {
     g.push_back(evil);
   }
   DnCAggregator dnc;
-  const auto out = dnc.aggregate(g, ctx_with(4, &rng));
+  const auto out =
+      dnc.aggregate(GradientMatrix::from_vectors(g), ctx_with(4, &rng));
   for (const float v : out) EXPECT_NEAR(v, 0.0f, 0.3f);
   // At most a benign minority may be removed; the mean of kept gradients
   // must exclude most of the planted outliers.
@@ -174,15 +179,15 @@ TEST(DnC, FiltersCollinearOutliers) {
 
 TEST(DnC, KeepsEveryoneWhenNoByzantineAssumed) {
   Rng rng(11);
-  const auto g = gaussian_grads(8, 32, 0.0, 1.0, 12);
+  const auto g = test::gaussian_matrix(8, 32, 0.0, 1.0, 12);
   DnCAggregator dnc;
   dnc.aggregate(g, ctx_with(0, &rng));
   EXPECT_EQ(dnc.last_selected().size(), 8u);
 }
 
 TEST(SignSgd, MajorityVotePerCoordinate) {
-  const std::vector<std::vector<float>> g = {
-      {1.0f, -3.0f, 0.0f}, {0.5f, -1.0f, 2.0f}, {-2.0f, 4.0f, 5.0f}};
+  const auto g =
+      matrix({{1.0f, -3.0f, 0.0f}, {0.5f, -1.0f, 2.0f}, {-2.0f, 4.0f, 5.0f}});
   SignSgdMajorityAggregator sign_sgd(1.0);
   const auto out = sign_sgd.aggregate(g, GarContext{});
   EXPECT_FLOAT_EQ(out[0], 1.0f);   // votes +1 +1 -1 -> +
@@ -191,10 +196,10 @@ TEST(SignSgd, MajorityVotePerCoordinate) {
 }
 
 TEST(SignSgd, TieEmitsZeroAndStepScales) {
-  const std::vector<std::vector<float>> g = {{1.0f}, {-1.0f}};
+  const auto g = matrix({{1.0f}, {-1.0f}});
   SignSgdMajorityAggregator sign_sgd(0.25);
   EXPECT_FLOAT_EQ(sign_sgd.aggregate(g, GarContext{})[0], 0.0f);
-  const std::vector<std::vector<float>> g2 = {{1.0f}, {2.0f}};
+  const auto g2 = matrix({{1.0f}, {2.0f}});
   EXPECT_FLOAT_EQ(sign_sgd.aggregate(g2, GarContext{})[0], 0.25f);
 }
 
@@ -204,12 +209,13 @@ TEST(SignSgd, FaultTolerantToMagnitudeInflation) {
   auto g = gaussian_grads(9, 32, 0.5, 0.1, 77);
   for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(32, -1e9f));
   SignSgdMajorityAggregator sign_sgd(1.0);
-  const auto out = sign_sgd.aggregate(g, GarContext{});
+  const auto out =
+      sign_sgd.aggregate(GradientMatrix::from_vectors(g), GarContext{});
   for (const float v : out) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(SingleGradient, AllRulesReturnIt) {
-  const std::vector<std::vector<float>> g = {{1.0f, -2.0f, 3.0f}};
+  const auto g = matrix({{1.0f, -2.0f, 3.0f}});
   Rng rng(13);
   MeanAggregator mean;
   TrimmedMeanAggregator tm;
@@ -221,8 +227,8 @@ TEST(SingleGradient, AllRulesReturnIt) {
   for (Aggregator* a : std::initializer_list<Aggregator*>{
            &mean, &tm, &med, &geo, &krum, &bulyan, &dnc}) {
     const auto out = a->aggregate(g, ctx_with(0, &rng));
-    for (std::size_t j = 0; j < g[0].size(); ++j)
-      EXPECT_NEAR(out[j], g[0][j], 1e-4) << a->name();
+    for (std::size_t j = 0; j < g.cols(); ++j)
+      EXPECT_NEAR(out[j], g.at(0, j), 1e-4) << a->name();
   }
 }
 
@@ -272,12 +278,13 @@ TEST_P(RobustnessSweep, StaysNearBenignMean) {
   const std::size_t n = 20, m = 4, d = 32;
   auto g = gaussian_grads(n, d, 1.0, 0.2, 100);
   const auto benign_mean = [&] {
-    std::vector<std::vector<float>> benign(g.begin() + m, g.end());
-    return vec::mean_of(benign);
+    const std::vector<std::vector<float>> benign(g.begin() + m, g.end());
+    return vec::mean_of(GradientMatrix::from_vectors(benign));
   }();
   g = corrupt(corruption, std::move(g), m, rng);
   auto gar = make(gar_name);
-  const auto out = gar->aggregate(g, ctx_with(m, &rng));
+  const auto out =
+      gar->aggregate(GradientMatrix::from_vectors(g), ctx_with(m, &rng));
   // The corrupted coordinates are displaced by >= 50; robust rules must
   // land within a small ball of the benign mean.
   EXPECT_LT(vec::dist(out, benign_mean), 2.0)

@@ -9,12 +9,15 @@
 #include "cluster/kmeans.h"
 #include "cluster/meanshift.h"
 #include "common/rng.h"
+#include "test_support.h"
 
 namespace signguard::cluster {
 namespace {
 
+using common::GradientMatrix;
+
 // Two well separated blobs of sizes a and b around +/- center.
-std::vector<std::vector<float>> two_blobs(std::size_t a, std::size_t b,
+GradientMatrix two_blobs(std::size_t a, std::size_t b,
                                           double center, double spread,
                                           std::uint64_t seed) {
   Rng rng(seed);
@@ -25,7 +28,7 @@ std::vector<std::vector<float>> two_blobs(std::size_t a, std::size_t b,
   for (std::size_t i = 0; i < b; ++i)
     pts.push_back({static_cast<float>(rng.normal(-center, spread)),
                    static_cast<float>(rng.normal(-center, spread))});
-  return pts;
+  return GradientMatrix::from_vectors(pts);
 }
 
 TEST(KMeans, SeparatesTwoBlobs) {
@@ -52,14 +55,14 @@ TEST(KMeans, MembersMatchesLabels) {
 }
 
 TEST(KMeans, MoreClustersThanPoints) {
-  const std::vector<std::vector<float>> pts = {{0.0f}, {1.0f}};
+  const auto pts = test::matrix({{0.0f}, {1.0f}});
   Rng rng(5);
   const ClusterResult r = kmeans(pts, KMeansConfig{.k = 5}, rng);
   EXPECT_EQ(r.n_clusters, 2u);
 }
 
 TEST(KMeans, IdenticalPointsFormOneEffectiveCluster) {
-  const std::vector<std::vector<float>> pts(10, {1.0f, 1.0f});
+  const auto pts = test::constant_matrix(10, 2, 1.0f);
   Rng rng(6);
   const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
   // All points coincide: the largest cluster holds everything that
@@ -71,9 +74,10 @@ TEST(KMeans, DuplicatePointsNeverSeedTwoIdenticalCenters) {
   // Two distinct locations, each heavily duplicated. k-means++ must not
   // seed both centers on copies of the same point (which previously left
   // an empty cluster behind), for any seed.
-  std::vector<std::vector<float>> pts;
-  for (int i = 0; i < 6; ++i) pts.push_back({0.0f, 0.0f});
-  for (int i = 0; i < 6; ++i) pts.push_back({5.0f, 5.0f});
+  std::vector<std::vector<float>> rows;
+  for (int i = 0; i < 6; ++i) rows.push_back({0.0f, 0.0f});
+  for (int i = 0; i < 6; ++i) rows.push_back({5.0f, 5.0f});
+  const auto pts = GradientMatrix::from_vectors(rows);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
@@ -91,8 +95,8 @@ TEST(KMeans, MostlyDuplicatesWithOneOutlier) {
   // 9 copies of one point + 1 outlier: whichever point seeds first, the
   // second center must land on the other location and no cluster may end
   // up empty.
-  std::vector<std::vector<float>> pts(9, {1.0f, 1.0f});
-  pts.push_back({9.0f, 9.0f});
+  auto pts = test::constant_matrix(10, 2, 1.0f);
+  pts.at(9, 0) = pts.at(9, 1) = 9.0f;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
@@ -125,11 +129,12 @@ TEST(MeanShift, SingleBlobIsOneCluster) {
 
 TEST(MeanShift, AdaptiveClusterCountWithThreeBlobs) {
   Rng rng(9);
-  std::vector<std::vector<float>> pts;
+  std::vector<std::vector<float>> rows;
   for (const double cx : {-6.0, 0.0, 6.0})
     for (int i = 0; i < 12; ++i)
-      pts.push_back({static_cast<float>(rng.normal(cx, 0.2)),
-                     static_cast<float>(rng.normal(0.0, 0.2))});
+      rows.push_back({static_cast<float>(rng.normal(cx, 0.2)),
+                      static_cast<float>(rng.normal(0.0, 0.2))});
+  const auto pts = GradientMatrix::from_vectors(rows);
   MeanShiftConfig cfg;
   cfg.bandwidth = 1.5;
   const ClusterResult r = mean_shift(pts, cfg);
@@ -137,29 +142,30 @@ TEST(MeanShift, AdaptiveClusterCountWithThreeBlobs) {
 }
 
 TEST(MeanShift, IdenticalPointsDegenerate) {
-  const std::vector<std::vector<float>> pts(8, {0.5f, 0.5f, 0.5f});
+  const auto pts = test::constant_matrix(8, 3, 0.5f);
   const ClusterResult r = mean_shift(pts);
   EXPECT_EQ(r.n_clusters, 1u);
   EXPECT_EQ(r.sizes[0], 8u);
 }
 
 TEST(MeanShift, SinglePoint) {
-  const std::vector<std::vector<float>> pts = {{1.0f, 2.0f}};
+  const auto pts = test::matrix({{1.0f, 2.0f}});
   const ClusterResult r = mean_shift(pts);
   EXPECT_EQ(r.n_clusters, 1u);
   EXPECT_EQ(r.labels[0], 0);
 }
 
 TEST(MeanShift, EmptyInput) {
-  const std::vector<std::vector<float>> pts;
+  const GradientMatrix pts;
   const ClusterResult r = mean_shift(pts);
   EXPECT_EQ(r.n_clusters, 0u);
   EXPECT_TRUE(r.labels.empty());
 }
 
 TEST(MeanShift, OutlierIsolatedIntoOwnCluster) {
-  auto pts = two_blobs(20, 0, 2.0, 0.2, 10);
-  pts.push_back({50.0f, 50.0f});
+  // Draws a 21st blob point, then moves it far away.
+  auto pts = two_blobs(21, 0, 2.0, 0.2, 10);
+  pts.at(20, 0) = pts.at(20, 1) = 50.0f;
   MeanShiftConfig cfg;
   cfg.bandwidth = 1.0;
   const ClusterResult r = mean_shift(pts, cfg);
@@ -177,7 +183,7 @@ TEST(EstimateBandwidth, PositiveAndScalesWithSpread) {
 }
 
 TEST(EstimateBandwidth, FloorOnDegenerateInput) {
-  const std::vector<std::vector<float>> pts(4, {1.0f});
+  const auto pts = test::constant_matrix(4, 1, 1.0f);
   EXPECT_GT(estimate_bandwidth(pts, 0.3), 0.0);
 }
 

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/vecops.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
@@ -118,7 +119,7 @@ TEST(VecOps, AxpyScaleSubAdd) {
 }
 
 TEST(VecOps, MeanOfVectors) {
-  const std::vector<std::vector<float>> vs = {{1.0f, 2.0f}, {3.0f, 4.0f}};
+  const auto vs = test::matrix({{1.0f, 2.0f}, {3.0f, 4.0f}});
   const auto m = vec::mean_of(vs);
   EXPECT_FLOAT_EQ(m[0], 2.0f);
   EXPECT_FLOAT_EQ(m[1], 3.0f);
@@ -128,7 +129,7 @@ TEST(VecOps, MeanOfVectors) {
 }
 
 TEST(VecOps, CoordinateMoments) {
-  const std::vector<std::vector<float>> vs = {{0.0f, 1.0f}, {2.0f, 1.0f}};
+  const auto vs = test::matrix({{0.0f, 1.0f}, {2.0f, 1.0f}});
   const auto m = vec::coordinate_moments(vs);
   EXPECT_FLOAT_EQ(m.mean[0], 1.0f);
   EXPECT_FLOAT_EQ(m.mean[1], 1.0f);
@@ -226,8 +227,7 @@ TEST(SelectCoordinates, AtLeastOne) {
 }
 
 TEST(PairwiseDistances, MatchesDirectComputation) {
-  const std::vector<std::vector<float>> grads = {
-      {0.0f, 0.0f}, {3.0f, 4.0f}, {1.0f, 1.0f}};
+  const auto grads = test::matrix({{0.0f, 0.0f}, {3.0f, 4.0f}, {1.0f, 1.0f}});
   const PairwiseDistances pd(grads);
   EXPECT_DOUBLE_EQ(pd.dist2(0, 1), 25.0);
   EXPECT_DOUBLE_EQ(pd.dist2(1, 0), 25.0);
@@ -238,10 +238,12 @@ TEST(PairwiseDistances, MatchesDirectComputation) {
 TEST(MedianPairwiseCosine, PicksMajorityDirection) {
   // Three aligned gradients and one reversed: the reversed one has median
   // cosine -1 to the others; the aligned ones have median +1.
-  const std::vector<std::vector<float>> grads = {
-      {1.0f, 0.0f}, {2.0f, 0.0f}, {3.0f, 0.0f}, {-1.0f, 0.0f}};
-  EXPECT_GT(median_pairwise_cosine(grads, 0), 0.9);
-  EXPECT_LT(median_pairwise_cosine(grads, 3), -0.9);
+  const auto grads = test::matrix(
+      {{1.0f, 0.0f}, {2.0f, 0.0f}, {3.0f, 0.0f}, {-1.0f, 0.0f}});
+  const auto cosines = median_pairwise_cosines(grads);
+  ASSERT_EQ(cosines.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_GT(cosines[i], 0.9);
+  EXPECT_LT(cosines[3], -0.9);
 }
 
 TEST(TextTable, AlignsAndFormats) {

@@ -18,21 +18,12 @@
 #include "common/rng.h"
 #include "common/vecops.h"
 #include "fl/experiment.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
 
-common::GradientMatrix gaussian_matrix(std::size_t n, std::size_t d,
-                                       double mean, double stddev,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  common::GradientMatrix m(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = rng.normal_vector(d, mean, stddev);
-    std::copy(v.begin(), v.end(), m.row(i).begin());
-  }
-  return m;
-}
+using test::gaussian_matrix;
 
 TEST(Degenerate, EmptyRoundThrowsTypedErrorForEveryDefense) {
   const common::GradientMatrix empty(0, 5);
@@ -44,10 +35,9 @@ TEST(Degenerate, EmptyRoundThrowsTypedErrorForEveryDefense) {
     ctx.rng = &rng;
     EXPECT_THROW(gar->aggregate(empty, ctx), std::invalid_argument) << name;
   }
-  // The legacy adapter also rejects inconsistent row dimensions.
-  auto mean = fl::make_aggregator("Mean", 17);
+  // Ragged rows never reach a rule: the import rejects them.
   const std::vector<std::vector<float>> ragged = {{1.0f, 2.0f}, {3.0f}};
-  EXPECT_THROW(mean->aggregate(ragged, agg::GarContext{}),
+  EXPECT_THROW(common::GradientMatrix::from_vectors(ragged),
                std::invalid_argument);
 }
 
@@ -98,18 +88,11 @@ TEST(Degenerate, ZeroDimensionalGradientsProduceEmptyOutput) {
 // ---- attack-side degenerate shapes (PR 7 TimeVaryingAttack contract:
 // degenerate inputs are typed errors, never silent garbage) -------------
 
-// Views + context over a synthetic round: nb benign rows, m Byzantine.
-attacks::AttackInput degenerate_round(std::size_t nb, std::size_t m,
-                                      std::size_t d, Rng* rng) {
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.clear();
-  byz.clear();
-  Rng gen(91);
-  for (std::size_t i = 0; i < nb; ++i)
-    benign.push_back(gen.normal_vector(d, 0.1, 1.0));
-  for (std::size_t i = 0; i < m; ++i)
-    byz.push_back(gen.normal_vector(d, 0.1, 1.0));
-  return attacks::make_attack_input(benign, byz, nb + m, m, rng);
+// A synthetic round: nb benign rows, m Byzantine.
+test::AttackRound degenerate_round(std::size_t nb, std::size_t m,
+                                   std::size_t d, Rng* rng) {
+  return test::AttackRound(gaussian_matrix(nb, d, 0.1, 1.0, 91),
+                           gaussian_matrix(m, d, 0.1, 1.0, 92), nb + m, rng);
 }
 
 TEST(DegenerateAttacks, EmptyHonestSetThrowsTypedError) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -16,19 +17,16 @@
 #include "fl/experiment.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
-  return out;
+// 16 benign Gaussian rows followed by 4 rows of `poison`.
+common::GradientMatrix poisoned_round(float poison, std::uint64_t seed) {
+  auto g = test::gaussian_matrix(20, 512, 0.2, 0.5, seed);
+  for (std::size_t i = 16; i < 20; ++i) std::ranges::fill(g.row(i), poison);
+  return g;
 }
 
 bool all_finite(std::span<const float> v) {
@@ -38,10 +36,7 @@ bool all_finite(std::span<const float> v) {
 }
 
 TEST(FailureInjection, SignGuardRejectsNaNGradients) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 1);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(std::vector<float>(
-        512, std::numeric_limits<float>::quiet_NaN()));
+  const auto g = poisoned_round(std::numeric_limits<float>::quiet_NaN(), 1);
   core::SignGuard sg(core::plain_config());
   const auto out = sg.aggregate(g, agg::GarContext{});
   // NaN norms fail the band check, so the poisoned gradients are dropped
@@ -51,10 +46,7 @@ TEST(FailureInjection, SignGuardRejectsNaNGradients) {
 }
 
 TEST(FailureInjection, SignGuardRejectsInfinityGradients) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 2);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(
-        std::vector<float>(512, std::numeric_limits<float>::infinity()));
+  const auto g = poisoned_round(std::numeric_limits<float>::infinity(), 2);
   core::SignGuard sg(core::plain_config());
   const auto out = sg.aggregate(g, agg::GarContext{});
   for (const auto idx : sg.last_selected()) EXPECT_LT(idx, 16u);
@@ -62,8 +54,7 @@ TEST(FailureInjection, SignGuardRejectsInfinityGradients) {
 }
 
 TEST(FailureInjection, SignGuardRejectsZeroGradientsFromMinority) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 3);
-  for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(512, 0.0f));
+  const auto g = poisoned_round(0.0f, 3);
   core::SignGuard sg(core::plain_config());
   sg.aggregate(g, agg::GarContext{});
   // Zero norm fails the lower threshold L = 0.1.
@@ -76,7 +67,7 @@ TEST(FailureInjection, MedianSurvivesNaNMinority) {
   // SignGuard-style norm screening happens first. This test documents
   // that the *robust mean family* (trimmed mean over finite values)
   // stays finite when NaNs are pre-filtered.
-  auto g = gaussian_grads(9, 64, 0.5, 0.2, 4);
+  const auto g = test::gaussian_matrix(9, 64, 0.5, 0.2, 4);
   core::NormFilterResult screen = core::norm_filter(g, {});
   EXPECT_EQ(screen.accepted.size(), 9u);
   agg::MedianAggregator median;

@@ -19,6 +19,7 @@
 #include "fl/server.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
+#include "test_support.h"
 
 namespace signguard::fl {
 namespace {
@@ -82,8 +83,7 @@ TEST(Client, WeightDecayShiftsGradient) {
 TEST(Server, AppliesAggregateWithMomentum) {
   auto gar = std::make_unique<agg::MeanAggregator>();
   Server server(std::move(gar), {0.0f, 0.0f}, 0.5, 0.0);
-  const std::vector<std::vector<float>> grads = {{1.0f, 2.0f},
-                                                 {3.0f, 4.0f}};
+  const auto grads = test::matrix({{1.0f, 2.0f}, {3.0f, 4.0f}});
   const auto& agg = server.step(grads, agg::GarContext{});
   EXPECT_FLOAT_EQ(agg[0], 2.0f);
   EXPECT_FLOAT_EQ(server.parameters()[0], -1.0f);  // 0 - 0.5 * 2

@@ -1,9 +1,7 @@
-// GradientMatrix layer tests: the flat representation itself, the thread
-// pool behind it, the threaded matrix kernels, and the two properties the
-// refactor promises — (1) the legacy vector-of-vectors adapter and the
-// matrix entry point produce bit-identical aggregates for every defense
-// in table1_defenses() under every smoke attack, and (2) results are
-// independent of SIGNGUARD_THREADS.
+// GradientMatrix layer tests: the flat representation itself and its
+// typed ragged-import check, the thread pool behind it, the threaded
+// matrix kernels, and the determinism contract: every defense in
+// table1_defenses() aggregates bit-identically under any SIGNGUARD_THREADS.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <tuple>
 
 #include "attacks/simple_attacks.h"
@@ -22,6 +21,7 @@
 #include "data/synth_image.h"
 #include "fl/experiment.h"
 #include "nn/models.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
@@ -44,17 +44,6 @@ struct ThreadCountGuard {
 
 // ------------------------------------------------------- representation
 
-TEST(GradientMatrix, RoundTripsThroughVectors) {
-  const auto vs = gaussian_grads(7, 33, 0.1, 1.0, 1);
-  const auto m = common::GradientMatrix::from_vectors(vs);
-  ASSERT_EQ(m.rows(), 7u);
-  ASSERT_EQ(m.cols(), 33u);
-  EXPECT_EQ(m.to_vectors(), vs);
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j)
-      EXPECT_EQ(m.at(i, j), vs[i][j]);
-}
-
 TEST(GradientMatrix, RowsAreContiguous) {
   common::GradientMatrix m(3, 4);
   for (std::size_t i = 0; i < 3; ++i)
@@ -68,7 +57,26 @@ TEST(GradientMatrix, FromViewsMatchesFromVectors) {
   const auto a = common::GradientMatrix::from_vectors(vs);
   const auto views = a.row_views();
   const auto b = common::GradientMatrix::from_views(views);
-  EXPECT_EQ(b.to_vectors(), vs);
+  for (const auto* m : {&a, &b}) {
+    ASSERT_EQ(m->rows(), 5u);
+    ASSERT_EQ(m->cols(), 16u);
+    for (std::size_t i = 0; i < vs.size(); ++i)
+      EXPECT_TRUE(std::ranges::equal(m->row(i), vs[i])) << "row " << i;
+  }
+}
+
+TEST(GradientMatrix, RaggedImportThrowsTypedError) {
+  // The longer row comes after the first, so a copy sized by the first
+  // row would overrun the buffer.
+  const std::vector<float> short_row = {1.0f, 2.0f};
+  const std::vector<float> long_row = {3.0f, 4.0f, 5.0f};
+  const std::vector<std::span<const float>> views = {short_row, short_row,
+                                                     long_row};
+  EXPECT_THROW(common::GradientMatrix::from_views(views),
+               std::invalid_argument);
+  const std::vector<std::vector<float>> vs = {short_row, long_row};
+  EXPECT_THROW(common::GradientMatrix::from_vectors(vs),
+               std::invalid_argument);
 }
 
 TEST(GradientMatrix, ResizeReusesBuffer) {
@@ -159,16 +167,19 @@ TEST(MatrixKernels, PairwiseBlocksMatchScalarKernels) {
   vec::set_dist_backend(prev_backend);
 }
 
-TEST(MatrixKernels, MeanAndMomentsMatchLegacy) {
+TEST(MatrixKernels, MeanAndMomentsMatchRowViewKernels) {
+  // The threaded matrix kernels against the sequential borrowed-view
+  // kernels the attacks use.
   const auto vs = gaussian_grads(8, 51, 0.3, 0.7, 5);
   const auto m = common::GradientMatrix::from_vectors(vs);
+  const std::vector<std::span<const float>> views(vs.begin(), vs.end());
   const auto mean_m = vec::mean_of(m);
-  const auto mean_v = vec::mean_of(vs);
+  const auto mean_v = vec::mean_of(views);
   ASSERT_EQ(mean_m.size(), mean_v.size());
   for (std::size_t j = 0; j < mean_m.size(); ++j)
     EXPECT_NEAR(mean_m[j], mean_v[j], 1e-6);
   const auto mm = vec::coordinate_moments(m);
-  const auto mv = vec::coordinate_moments(vs);
+  const auto mv = vec::coordinate_moments(views);
   for (std::size_t j = 0; j < mm.mean.size(); ++j) {
     EXPECT_NEAR(mm.mean[j], mv.mean[j], 1e-6);
     EXPECT_NEAR(mm.stddev[j], mv.stddev[j], 1e-6);
@@ -190,62 +201,23 @@ TEST(MatrixKernels, FusedSignStatisticsMatchPerRow) {
   }
 }
 
-// ------------------------------- adapter equivalence across every GAR
-
 // Builds a crafted gradient population: m_byz malicious rows first (as
 // the trainer lays them out), benign rows after.
-std::vector<std::vector<float>> attacked_population(
-    const std::string& attack_name, std::size_t n, std::size_t m_byz,
-    std::size_t d, std::uint64_t seed) {
-  const auto benign = gaussian_grads(n - m_byz, d, 0.3, 0.8, seed);
-  const auto byz_honest = gaussian_grads(m_byz, d, 0.3, 0.8, seed + 1);
+common::GradientMatrix attacked_population(const std::string& attack_name,
+                                           std::size_t n, std::size_t m_byz,
+                                           std::size_t d,
+                                           std::uint64_t seed) {
   Rng rng(seed + 2);
+  const test::AttackRound round(
+      test::gaussian_matrix(n - m_byz, d, 0.3, 0.8, seed),
+      test::gaussian_matrix(m_byz, d, 0.3, 0.8, seed + 1), n, &rng);
   auto attack = fl::make_attack(attack_name);
   attack->begin_round(0, rng);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz_honest, n, m_byz, &rng);
-  std::vector<std::vector<float>> all = attack->craft(in.ctx);
-  all.insert(all.end(), benign.begin(), benign.end());
-  return all;
+  std::vector<std::vector<float>> all = attack->craft(round.ctx);
+  for (const auto row : round.benign_views)
+    all.emplace_back(row.begin(), row.end());
+  return common::GradientMatrix::from_vectors(all);
 }
-
-class AdapterEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
-};
-
-TEST_P(AdapterEquivalence, LegacyAndMatrixPathsAgreeBitwise) {
-  const auto [defense, attack_name] = GetParam();
-  const std::size_t n = 20, m_byz = 4, d = 256;
-  const auto grads = attacked_population(attack_name, n, m_byz, d, 11);
-  const auto matrix = common::GradientMatrix::from_vectors(grads);
-
-  // Separate aggregator instances (and Rngs for randomized rules) so
-  // per-instance state cannot leak between the two paths.
-  auto gar_legacy = fl::make_aggregator(defense, 2022);
-  auto gar_matrix = fl::make_aggregator(defense, 2022);
-  Rng rng_a(33), rng_b(33);
-  agg::GarContext ctx_a, ctx_b;
-  ctx_a.assumed_byzantine = ctx_b.assumed_byzantine = m_byz;
-  ctx_a.rng = &rng_a;
-  ctx_b.rng = &rng_b;
-
-  const auto via_legacy = gar_legacy->aggregate(grads, ctx_a);
-  const auto via_matrix = gar_matrix->aggregate(matrix, ctx_b);
-  ASSERT_EQ(via_legacy.size(), d);
-  EXPECT_EQ(via_legacy, via_matrix)
-      << "defense=" << defense << " attack=" << attack_name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DefensesTimesAttacks, AdapterEquivalence,
-    ::testing::Combine(::testing::ValuesIn(fl::table1_defenses()),
-                       ::testing::Values("NoAttack", "SignFlip", "LIE",
-                                         "ByzMean", "MinMax")),
-    [](const auto& info) {
-      auto name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
 
 // ------------------------------------ thread-count determinism per GAR
 
@@ -255,8 +227,7 @@ TEST_P(ThreadDeterminism, OneThreadAndFourThreadsAgreeBitwise) {
   ThreadCountGuard guard;
   const auto defense = GetParam();
   const std::size_t n = 24, m_byz = 5, d = 512;
-  const auto grads = attacked_population("LIE", n, m_byz, d, 21);
-  const auto matrix = common::GradientMatrix::from_vectors(grads);
+  const auto matrix = attacked_population("LIE", n, m_byz, d, 21);
 
   auto run_with = [&](std::size_t threads) {
     common::set_thread_count(threads);

@@ -18,6 +18,7 @@
 #include "common/shard_stats.h"
 #include "common/vecops.h"
 #include "fl/experiment.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
@@ -27,17 +28,7 @@ using agg::ShardedAggregator;
 using agg::ShardedConfig;
 using agg::ShardMerge;
 
-common::GradientMatrix gaussian_matrix(std::size_t n, std::size_t d,
-                                       double mean, double stddev,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  common::GradientMatrix m(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = rng.normal_vector(d, mean, stddev);
-    std::copy(v.begin(), v.end(), m.row(i).begin());
-  }
-  return m;
-}
+using test::gaussian_matrix;
 
 ShardedAggregator::InnerFactory factory_for(const std::string& name) {
   return [name](std::uint64_t seed) { return fl::make_aggregator(name, seed); };

@@ -25,6 +25,7 @@
 #include "common/vecops.h"
 #include "core/filters.h"
 #include "core/signguard.h"
+#include "test_support.h"
 
 namespace signguard::core {
 namespace {
@@ -40,36 +41,48 @@ std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
   return out;
 }
 
+using common::GradientMatrix;
+using test::gaussian_matrix;
+using test::matrix;
+
+// g followed by its first k rows scaled by `factor`: a sign-flipped or
+// inflated Byzantine minority after the benign rows.
+GradientMatrix with_scaled_copies(std::vector<std::vector<float>> g,
+                                  std::size_t k, double factor) {
+  for (std::size_t i = 0; i < k; ++i) g.push_back(vec::scaled(g[i], factor));
+  return GradientMatrix::from_vectors(g);
+}
+
 agg::GarContext gar_ctx() { return agg::GarContext{}; }
 
 // --------------------------------------------------------- norm filter
 
 TEST(NormFilter, AcceptsWithinBand) {
   // Norms 1,1,1,10 -> median 1; with R=3 the big one is rejected.
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {10.0f, 0.0f}};
+  const auto g =
+      matrix({{1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {10.0f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_DOUBLE_EQ(r.median_norm, 1.0);
   EXPECT_EQ(r.accepted, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(NormFilter, RejectsVanishinglySmall) {
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {0.0001f, 0.0f}};
+  const auto g =
+      matrix({{1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {0.0001f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(NormFilter, BoundaryRatiosInclusive) {
   // Ratios exactly L and R are accepted (closed interval).
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {1.0f, 0.0f}, {1.0f, 0.0f}, {3.0f, 0.0f}, {0.1f, 0.0f}};
+  const auto g = matrix(
+      {{1.0f, 0.0f}, {1.0f, 0.0f}, {1.0f, 0.0f}, {3.0f, 0.0f}, {0.1f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted.size(), 5u);
 }
 
 TEST(NormFilter, AllZeroGradientsAcceptEverything) {
-  std::vector<std::vector<float>> g(4, std::vector<float>(3, 0.0f));
+  const GradientMatrix g(4, 3);
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted.size(), 4u);
   EXPECT_DOUBLE_EQ(r.median_norm, 0.0);
@@ -80,8 +93,8 @@ TEST(NormFilter, AllZeroGradientsAcceptEverything) {
 TEST(SignClusterFilter, IsolatesSignFlippedGradients) {
   // Benign gradients biased positive; flipped ones biased negative: the
   // sign statistics separate them cleanly.
-  auto g = gaussian_grads(16, 512, 0.5, 1.0, 1);
-  for (std::size_t i = 0; i < 4; ++i) g.push_back(vec::scaled(g[i], -1.0));
+  const auto g = with_scaled_copies(gaussian_grads(16, 512, 0.5, 1.0, 1), 4,
+                                    -1.0);
   Rng rng(2);
   SignClusterConfig cfg;
   const auto r = sign_cluster_filter(g, {}, 1.0, cfg, rng);
@@ -90,49 +103,50 @@ TEST(SignClusterFilter, IsolatesSignFlippedGradients) {
 }
 
 TEST(SignClusterFilter, FeatureRowsAreSignProportions) {
-  const auto g = gaussian_grads(6, 256, 0.0, 1.0, 3);
+  const auto g = gaussian_matrix(6, 256, 0.0, 1.0, 3);
   Rng rng(4);
   SignClusterConfig cfg;
   cfg.coord_frac = 1.0;  // use every coordinate -> exact statistics
   const auto r = sign_cluster_filter(g, {}, 1.0, cfg, rng);
-  ASSERT_EQ(r.features.size(), 6u);
+  ASSERT_EQ(r.features.rows(), 6u);
+  ASSERT_EQ(r.features.cols(), 3u);
   for (std::size_t i = 0; i < 6; ++i) {
-    ASSERT_EQ(r.features[i].size(), 3u);
-    const SignStats s = sign_statistics(g[i]);
-    EXPECT_NEAR(r.features[i][0], s.pos, 1e-6);
-    EXPECT_NEAR(r.features[i][1], s.zero, 1e-6);
-    EXPECT_NEAR(r.features[i][2], s.neg, 1e-6);
-    EXPECT_NEAR(r.features[i][0] + r.features[i][1] + r.features[i][2], 1.0,
-                1e-6);
+    const SignStats s = sign_statistics(g.row(i));
+    EXPECT_NEAR(r.features.at(i, 0), s.pos, 1e-6);
+    EXPECT_NEAR(r.features.at(i, 1), s.zero, 1e-6);
+    EXPECT_NEAR(r.features.at(i, 2), s.neg, 1e-6);
+    EXPECT_NEAR(
+        r.features.at(i, 0) + r.features.at(i, 1) + r.features.at(i, 2), 1.0,
+        1e-6);
   }
 }
 
 TEST(SignClusterFilter, SimVariantAppendsCosineFeature) {
-  const auto g = gaussian_grads(5, 64, 0.2, 1.0, 5);
-  const std::vector<float> ref = g[0];
+  const auto g = gaussian_matrix(5, 64, 0.2, 1.0, 5);
+  const auto ref = g.row(0);
   Rng rng(6);
   SignClusterConfig cfg;
   cfg.similarity = SimilarityFeature::kCosine;
   const auto r = sign_cluster_filter(g, ref, 1.0, cfg, rng);
-  ASSERT_EQ(r.features[0].size(), 4u);
-  EXPECT_NEAR(r.features[0][3], 1.0, 1e-5);  // cos(g0, g0) == 1
+  ASSERT_EQ(r.features.cols(), 4u);
+  EXPECT_NEAR(r.features.at(0, 3), 1.0, 1e-5);  // cos(g0, g0) == 1
 }
 
 TEST(SignClusterFilter, DistVariantNormalizesByMedianNorm) {
-  const auto g = gaussian_grads(5, 64, 0.2, 1.0, 7);
-  const std::vector<float> ref = g[0];
+  const auto g = gaussian_matrix(5, 64, 0.2, 1.0, 7);
+  const auto ref = g.row(0);
   Rng rng(8);
   SignClusterConfig cfg;
   cfg.similarity = SimilarityFeature::kDistance;
   const double med = 2.0;
   const auto r = sign_cluster_filter(g, ref, med, cfg, rng);
-  EXPECT_NEAR(r.features[0][3], 0.0, 1e-6);
-  EXPECT_NEAR(r.features[1][3], vec::dist(g[1], ref) / med, 1e-5);
+  EXPECT_NEAR(r.features.at(0, 3), 0.0, 1e-6);
+  EXPECT_NEAR(r.features.at(1, 3), vec::dist(g.row(1), ref) / med, 1e-5);
 }
 
 TEST(SignClusterFilter, KMeansClustererAlsoSeparates) {
-  auto g = gaussian_grads(12, 512, 0.5, 1.0, 9);
-  for (std::size_t i = 0; i < 3; ++i) g.push_back(vec::scaled(g[i], -1.0));
+  const auto g = with_scaled_copies(gaussian_grads(12, 512, 0.5, 1.0, 9), 3,
+                                    -1.0);
   Rng rng(10);
   SignClusterConfig cfg;
   cfg.clusterer = Clusterer::kKMeans2;
@@ -144,8 +158,8 @@ TEST(SignClusterFilter, KMeansClustererAlsoSeparates) {
 // ------------------------------------------------- aggregation helpers
 
 TEST(ClippedMean, ClipsOnlyAboveBound) {
-  const std::vector<std::vector<float>> g = {{3.0f, 4.0f},   // norm 5
-                                             {0.3f, 0.4f}};  // norm 0.5
+  const auto g = matrix({{3.0f, 4.0f},    // norm 5
+                         {0.3f, 0.4f}});  // norm 0.5
   const std::vector<std::size_t> sel = {0, 1};
   const auto out = clipped_mean(g, sel, 1.0);
   // First gradient scaled by 1/5, second untouched.
@@ -154,7 +168,7 @@ TEST(ClippedMean, ClipsOnlyAboveBound) {
 }
 
 TEST(ClippedMean, DisabledClipIsPlainSubsetMean) {
-  const std::vector<std::vector<float>> g = {{10.0f}, {2.0f}, {100.0f}};
+  const auto g = matrix({{10.0f}, {2.0f}, {100.0f}});
   const std::vector<std::size_t> sel = {0, 1};
   const auto out = clipped_mean(g, sel, 1.0, /*clip=*/false);
   EXPECT_FLOAT_EQ(out[0], 6.0f);
@@ -175,7 +189,7 @@ TEST(SignGuard, NoAttackKeepsBenignMajority) {
   // overwhelming majority of honest gradients — Table II reports a ~0.96
   // honest selection rate, and a small drop is expected behaviour (§VI-A
   // "SignGuard-type methods inevitably exclude part of honest gradients").
-  const auto g = gaussian_grads(50, 4096, 0.1, 0.5, 11);
+  const auto g = gaussian_matrix(50, 4096, 0.1, 0.5, 11);
   SignGuard sg(plain_config());
   const auto out = sg.aggregate(g, gar_ctx());
   EXPECT_GE(sg.last_selected().size(), 45u);
@@ -183,21 +197,16 @@ TEST(SignGuard, NoAttackKeepsBenignMajority) {
 }
 
 TEST(SignGuard, RejectsHugeNormGradients) {
-  auto g = gaussian_grads(16, 256, 0.1, 0.5, 12);
-  for (int i = 0; i < 4; ++i) {
-    auto evil = g[std::size_t(i)];
-    vec::scale(evil, 100.0);
-    g.push_back(evil);
-  }
+  const auto g = with_scaled_copies(gaussian_grads(16, 256, 0.1, 0.5, 12), 4,
+                                    100.0);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   for (const auto idx : sg.last_selected()) EXPECT_LT(idx, 16u);
 }
 
 TEST(SignGuard, RejectsSignFlippedGradients) {
-  auto g = gaussian_grads(16, 1024, 0.4, 1.0, 13);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -1.0));
+  const auto g = with_scaled_copies(gaussian_grads(16, 1024, 0.4, 1.0, 13),
+                                    4, -1.0);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   std::size_t malicious_kept = 0;
@@ -209,10 +218,11 @@ TEST(SignGuard, RejectsSignFlippedGradients) {
 TEST(SignGuard, RejectsLieCraftedGradients) {
   // Positive-mean benign population: LIE with large-ish z flips a visible
   // share of signs, which the clustering filter detects.
-  const auto benign = gaussian_grads(16, 1024, 0.3, 0.6, 14);
-  const auto gm = attacks::LieAttack::craft_vector(benign, 1.5);
-  auto g = benign;
-  for (int i = 0; i < 4; ++i) g.push_back(gm);
+  auto rows = gaussian_grads(16, 1024, 0.3, 0.6, 14);
+  const auto benign = GradientMatrix::from_vectors(rows);
+  const auto gm = attacks::LieAttack::craft_vector(benign.row_views(), 1.5);
+  rows.insert(rows.end(), 4, gm);
+  const auto g = GradientMatrix::from_vectors(rows);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   std::size_t malicious_kept = 0;
@@ -223,7 +233,7 @@ TEST(SignGuard, RejectsLieCraftedGradients) {
 
 TEST(SignGuard, DoesNotUseAssumedByzantineCount) {
   // Fraction-agnostic: the result must be identical whatever m is claimed.
-  auto g = gaussian_grads(12, 256, 0.2, 0.5, 15);
+  const auto g = gaussian_matrix(12, 256, 0.2, 0.5, 15);
   SignGuard sg1(plain_config(7));
   SignGuard sg2(plain_config(7));
   agg::GarContext c0;
@@ -234,7 +244,7 @@ TEST(SignGuard, DoesNotUseAssumedByzantineCount) {
 }
 
 TEST(SignGuard, DeterministicForSameSeed) {
-  const auto g = gaussian_grads(10, 128, 0.1, 1.0, 16);
+  const auto g = gaussian_matrix(10, 128, 0.1, 1.0, 16);
   SignGuard a(plain_config(42)), b(plain_config(42));
   EXPECT_EQ(a.aggregate(g, gar_ctx()), b.aggregate(g, gar_ctx()));
 }
@@ -246,7 +256,7 @@ TEST(SignGuard, VariantNamesFollowConfig) {
 }
 
 TEST(SignGuard, SimVariantUsesPreviousAggregateAsReference) {
-  const auto g = gaussian_grads(10, 256, 0.3, 0.5, 17);
+  const auto g = gaussian_matrix(10, 256, 0.3, 0.5, 17);
   SignGuard sg(sim_config());
   sg.aggregate(g, gar_ctx());
   EXPECT_FALSE(sg.previous_aggregate().empty());
@@ -256,7 +266,7 @@ TEST(SignGuard, SimVariantUsesPreviousAggregateAsReference) {
 }
 
 TEST(SignGuard, ResetClearsCrossRoundState) {
-  const auto g = gaussian_grads(6, 64, 0.1, 0.5, 18);
+  const auto g = gaussian_matrix(6, 64, 0.1, 0.5, 18);
   SignGuard sg(sim_config());
   sg.aggregate(g, gar_ctx());
   sg.reset();
@@ -268,14 +278,14 @@ TEST(SignGuard, NormClipBoundsAggregateNorm) {
   // Even if the attacker inflates magnitudes inside the accepted band,
   // the output norm stays within the median norm (convexity of the mean
   // of clipped vectors).
-  const auto g = gaussian_grads(11, 128, 0.2, 1.0, 19);
+  const auto g = gaussian_matrix(11, 128, 0.2, 1.0, 19);
   SignGuard sg(plain_config());
   const auto out = sg.aggregate(g, gar_ctx());
   EXPECT_LE(vec::norm(out), sg.last_norm_filter().median_norm + 1e-6);
 }
 
 TEST(SignGuard, SingleGradientDegenerate) {
-  const std::vector<std::vector<float>> g = {{0.5f, -0.5f, 1.0f}};
+  const auto g = matrix({{0.5f, -0.5f, 1.0f}});
   SignGuard sg(plain_config());
   const auto out = sg.aggregate(g, gar_ctx());
   EXPECT_EQ(out.size(), 3u);
@@ -287,9 +297,8 @@ TEST(SignGuard, SingleGradientDegenerate) {
 TEST(SignGuardAblation, ClusterOnlyMissesScaledReverse) {
   // Reverse attack scaled within the norm band: without the sign filter,
   // thresholding alone cannot reject it.
-  auto g = gaussian_grads(16, 512, 0.4, 1.0, 20);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -1.0));
+  const auto g = with_scaled_copies(gaussian_grads(16, 512, 0.4, 1.0, 20), 4,
+                                    -1.0);
 
   SignGuardConfig norm_only = plain_config();
   norm_only.enable_sign_cluster = false;
@@ -313,9 +322,8 @@ TEST(SignGuardAblation, ClusterOnlyMissesScaledReverse) {
 
 TEST(SignGuardAblation, NormFilterCatchesScaledAttack) {
   // 100x scaled reverse gradients: the norm filter alone rejects them.
-  auto g = gaussian_grads(16, 256, 0.4, 1.0, 21);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -100.0));
+  const auto g = with_scaled_copies(gaussian_grads(16, 256, 0.4, 1.0, 21), 4,
+                                    -100.0);
   SignGuardConfig norm_only = plain_config();
   norm_only.enable_sign_cluster = false;
   SignGuard sg(norm_only);
@@ -324,7 +332,7 @@ TEST(SignGuardAblation, NormFilterCatchesScaledAttack) {
 }
 
 TEST(SignGuardAblation, AllDisabledIsPlainMean) {
-  const auto g = gaussian_grads(8, 64, 0.1, 1.0, 22);
+  const auto g = gaussian_matrix(8, 64, 0.1, 1.0, 22);
   SignGuardConfig cfg = plain_config();
   cfg.enable_norm_filter = false;
   cfg.enable_sign_cluster = false;
@@ -518,8 +526,9 @@ TEST_P(SignGuardVariantSweep, MajorityOfMaliciousRejected) {
     for (std::size_t i = 0; i < m; ++i)
       malicious.push_back(vec::scaled(benign[i], -1.0));
   } else if (attack_name == "LIE-strong") {
-    const auto gm = attacks::LieAttack::craft_vector(benign, 1.5);
-    malicious.assign(m, gm);
+    const auto rows = GradientMatrix::from_vectors(benign);
+    malicious.assign(m,
+                     attacks::LieAttack::craft_vector(rows.row_views(), 1.5));
   } else if (attack_name == "Random") {
     for (std::size_t i = 0; i < m; ++i)
       malicious.push_back(rng.normal_vector(d, 0.0, 0.5));
@@ -535,7 +544,7 @@ TEST_P(SignGuardVariantSweep, MajorityOfMaliciousRejected) {
                         : variant == "Dist" ? dist_config()
                                              : plain_config();
   SignGuard sg(cfg);
-  sg.aggregate(g, gar_ctx());
+  sg.aggregate(GradientMatrix::from_vectors(g), gar_ctx());
   std::size_t malicious_kept = 0;
   for (const auto idx : sg.last_selected())
     if (idx >= n - m) ++malicious_kept;

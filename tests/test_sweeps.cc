@@ -15,6 +15,7 @@
 #include "attacks/simple_attacks.h"
 #include "common/vecops.h"
 #include "core/signguard.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
@@ -29,6 +30,9 @@ std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
     out.push_back(rng.normal_vector(d, mean, stddev));
   return out;
 }
+
+using common::GradientMatrix;
+using test::gaussian_matrix;
 
 std::unique_ptr<agg::Aggregator> make_gar(const std::string& name) {
   using namespace agg;
@@ -58,7 +62,7 @@ class ShapeSweep
 TEST_P(ShapeSweep, FiniteOutputRightDimension) {
   const auto [name, n] = GetParam();
   for (const std::size_t d : {1u, 3u, 64u}) {
-    const auto g = gaussian_grads(n, d, 0.1, 1.0, 17 + n + d);
+    const auto g = gaussian_matrix(n, d, 0.1, 1.0, 17 + n + d);
     Rng rng(3);
     agg::GarContext ctx;
     ctx.assumed_byzantine = n > 4 ? n / 5 : 0;
@@ -89,10 +93,10 @@ class EquivarianceSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EquivarianceSweep, TranslationEquivariant) {
   const auto name = GetParam();
-  const auto g = gaussian_grads(11, 16, 0.0, 1.0, 23);
-  const std::vector<float> shift(16, 2.5f);
+  const auto g = gaussian_matrix(11, 16, 0.0, 1.0, 23);
   auto shifted = g;
-  for (auto& v : shifted) v = vec::add(v, shift);
+  for (std::size_t i = 0; i < shifted.rows(); ++i)
+    for (float& v : shifted.row(i)) v += 2.5f;
   Rng r1(5), r2(5);
   agg::GarContext c1, c2;
   c1.assumed_byzantine = c2.assumed_byzantine = 2;
@@ -106,9 +110,10 @@ TEST_P(EquivarianceSweep, TranslationEquivariant) {
 
 TEST_P(EquivarianceSweep, PositiveScaleEquivariant) {
   const auto name = GetParam();
-  const auto g = gaussian_grads(11, 16, 0.3, 1.0, 29);
+  const auto g = gaussian_matrix(11, 16, 0.3, 1.0, 29);
   auto scaled = g;
-  for (auto& v : scaled) vec::scale(v, 3.0);
+  for (std::size_t i = 0; i < scaled.rows(); ++i)
+    vec::scale(scaled.row(i), 3.0);
   Rng r1(5), r2(5);
   agg::GarContext c1, c2;
   c1.assumed_byzantine = c2.assumed_byzantine = 2;
@@ -129,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(CoordinateRules, EquivarianceSweep,
 TEST(CoordinateBounds, RobustRulesStayInsideValueEnvelope) {
   // Coordinate-wise robust rules must output values within the
   // [min, max] envelope of the received values, per coordinate.
-  const auto g = gaussian_grads(9, 32, 0.0, 2.0, 31);
+  const auto g = gaussian_matrix(9, 32, 0.0, 2.0, 31);
   for (const auto& name : {"TrMean", "Median"}) {
     Rng rng(6);
     agg::GarContext ctx;
@@ -137,10 +142,10 @@ TEST(CoordinateBounds, RobustRulesStayInsideValueEnvelope) {
     ctx.rng = &rng;
     const auto out = make_gar(name)->aggregate(g, ctx);
     for (std::size_t j = 0; j < 32; ++j) {
-      float lo = g[0][j], hi = g[0][j];
-      for (const auto& gi : g) {
-        lo = std::min(lo, gi[j]);
-        hi = std::max(hi, gi[j]);
+      float lo = g.at(0, j), hi = g.at(0, j);
+      for (std::size_t i = 0; i < g.rows(); ++i) {
+        lo = std::min(lo, g.at(i, j));
+        hi = std::max(hi, g.at(i, j));
       }
       EXPECT_GE(out[j], lo) << name;
       EXPECT_LE(out[j], hi) << name;
@@ -149,9 +154,10 @@ TEST(CoordinateBounds, RobustRulesStayInsideValueEnvelope) {
 }
 
 TEST(PermutationInvariance, CoordinateRulesIgnoreClientOrder) {
-  auto g = gaussian_grads(12, 24, 0.1, 1.0, 37);
-  auto shuffled = g;
-  std::reverse(shuffled.begin(), shuffled.end());
+  const auto g = gaussian_matrix(12, 24, 0.1, 1.0, 37);
+  auto views = g.row_views();
+  std::reverse(views.begin(), views.end());
+  const auto shuffled = GradientMatrix::from_views(views);
   for (const auto& name : {"Mean", "TrMean", "Median", "GeoMed"}) {
     agg::GarContext ctx;
     ctx.assumed_byzantine = 3;
@@ -165,7 +171,7 @@ TEST(PermutationInvariance, CoordinateRulesIgnoreClientOrder) {
 
 TEST(ClippedMeanProperty, OutputNormNeverExceedsBound) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    const auto g = gaussian_grads(15, 64, 0.0, double(seed), seed);
+    const auto g = gaussian_matrix(15, 64, 0.0, double(seed), seed);
     std::vector<std::size_t> sel(15);
     for (std::size_t i = 0; i < 15; ++i) sel[i] = i;
     const double bound = 0.7;
@@ -178,12 +184,14 @@ TEST(ClippedMeanProperty, OutputNormNeverExceedsBound) {
 
 TEST(LieSweep, StrongerZMeansFewerMaliciousKept) {
   const auto benign = gaussian_grads(40, 2048, 0.3, 0.8, 41);
+  const auto benign_rows = GradientMatrix::from_vectors(benign);
   auto kept_at = [&](double z) {
     auto g = benign;
-    const auto gm = attacks::LieAttack::craft_vector(benign, z);
-    for (int i = 0; i < 10; ++i) g.push_back(gm);
+    const auto gm =
+        attacks::LieAttack::craft_vector(benign_rows.row_views(), z);
+    g.insert(g.end(), 10, gm);
     core::SignGuard sg(core::plain_config());
-    sg.aggregate(g, agg::GarContext{});
+    sg.aggregate(GradientMatrix::from_vectors(g), agg::GarContext{});
     std::size_t kept = 0;
     for (const auto idx : sg.last_selected())
       if (idx >= 40) ++kept;
@@ -207,14 +215,13 @@ TEST_P(ByzMeanInnerSweep, MeanIdentityHoldsForEveryInnerAttack) {
     inner = std::make_unique<attacks::LieAttack>(0.3);
   attacks::ByzMeanAttack attack(std::move(inner));
 
-  const auto benign = gaussian_grads(16, 64, 0.1, 1.0, 43);
-  const auto byz = gaussian_grads(4, 64, 0.1, 1.0, 44);
   Rng rng(45);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz, 20, 4, &rng);
+  const test::AttackRound in(gaussian_matrix(16, 64, 0.1, 1.0, 43),
+                             gaussian_matrix(4, 64, 0.1, 1.0, 44), 20, &rng);
   const auto out = attack.craft(in.ctx);
-  std::vector<std::vector<float>> all(out.begin(), out.end());
-  all.insert(all.end(), benign.begin(), benign.end());
+  const auto crafted = GradientMatrix::from_vectors(out);
+  auto all = crafted.row_views();
+  all.insert(all.end(), in.benign_views.begin(), in.benign_views.end());
   const auto mean = vec::mean_of(all);
   for (std::size_t j = 0; j < 64; ++j)
     EXPECT_NEAR(mean[j], out[0][j], 1e-3) << inner_name;
@@ -228,13 +235,12 @@ class PerturbationSweep
 
 TEST_P(PerturbationSweep, MinMaxConstraintHoldsForEveryPerturbation) {
   const auto p = GetParam();
-  const auto benign = gaussian_grads(12, 128, 0.2, 1.0, 47);
-  const auto byz = gaussian_grads(3, 128, 0.2, 1.0, 48);
   Rng rng(49);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz, 15, 3, &rng);
+  const test::AttackRound in(gaussian_matrix(12, 128, 0.2, 1.0, 47),
+                             gaussian_matrix(3, 128, 0.2, 1.0, 48), 15, &rng);
   attacks::MinMaxAttack attack(p);
   const auto out = attack.craft(in.ctx);
+  const auto& benign = in.benign_views;
   double max_to_benign = 0.0, max_pair = 0.0;
   for (std::size_t i = 0; i < benign.size(); ++i) {
     max_to_benign = std::max(max_to_benign, vec::dist2(out[0], benign[i]));

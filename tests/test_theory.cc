@@ -15,31 +15,24 @@
 #include "common/rng.h"
 #include "common/vecops.h"
 #include "core/signguard.h"
+#include "test_support.h"
 
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
-  return out;
-}
+using test::gaussian_matrix;
 
 // Proposition 1, Eq. (6): with small z there exists an honest gradient
 // farther from the true average than the LIE gradient.
 TEST(Proposition1, LieCloserThanSomeHonestGradient) {
   const std::size_t n = 20, d = 2048;
-  const auto g = gaussian_grads(n, d, 0.2, 1.0, 1);
-  const auto avg = vec::mean_of(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 0.3);
+  const auto g = gaussian_matrix(n, d, 0.2, 1.0, 1);
+  const auto rows = g.row_views();
+  const auto avg = vec::mean_of(rows);
+  const auto gm = attacks::LieAttack::craft_vector(rows, 0.3);
   const double lie_dist = vec::dist2(gm, avg);
   bool exists = false;
-  for (const auto& gi : g)
+  for (const auto gi : rows)
     if (lie_dist < vec::dist2(gi, avg)) exists = true;
   EXPECT_TRUE(exists);
   // Stronger empirical form of the proof's bound: the LIE distance is
@@ -51,12 +44,13 @@ TEST(Proposition1, LieCloserThanSomeHonestGradient) {
 // true average than some honest gradient.
 TEST(Proposition1, LieMoreSimilarThanSomeHonestGradient) {
   const std::size_t n = 20, d = 2048;
-  const auto g = gaussian_grads(n, d, 0.2, 1.0, 2);
-  const auto avg = vec::mean_of(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 0.3);
+  const auto g = gaussian_matrix(n, d, 0.2, 1.0, 2);
+  const auto rows = g.row_views();
+  const auto avg = vec::mean_of(rows);
+  const auto gm = attacks::LieAttack::craft_vector(rows, 0.3);
   const double lie_cos = vec::cosine(gm, avg);
   bool exists = false;
-  for (const auto& gi : g)
+  for (const auto gi : rows)
     if (lie_cos > vec::cosine(gi, avg)) exists = true;
   EXPECT_TRUE(exists);
 }
@@ -68,9 +62,10 @@ TEST(Equation3, SignReversalCondition) {
   EXPECT_GT(0.5 - 0.3 * 1.0, 0.0);
   EXPECT_LT(0.5 - 0.8 * 1.0, 0.0);
   // And on a simulated population with per-coordinate moments:
-  const auto g = gaussian_grads(50, 512, 0.2, 1.0, 3);
-  const auto moments = vec::coordinate_moments(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 1.0);
+  const auto g = gaussian_matrix(50, 512, 0.2, 1.0, 3);
+  const auto rows = g.row_views();
+  const auto moments = vec::coordinate_moments(rows);
+  const auto gm = attacks::LieAttack::craft_vector(rows, 1.0);
   std::size_t flipped = 0, eligible = 0;
   for (std::size_t j = 0; j < gm.size(); ++j) {
     if (moments.mean[j] > 0.0f) {
@@ -88,16 +83,17 @@ TEST(Equation3, SignReversalCondition) {
 // Fig. 2: the LIE gradient's sign statistics deviate from honest ones —
 // with mean mu > 0, positive fraction collapses as z grows.
 TEST(Fig2Claim, LieShiftsSignStatistics) {
-  const auto g = gaussian_grads(50, 4096, 0.3, 1.0, 4);
-  const SignStats honest = sign_statistics(vec::mean_of(g));
+  const auto g = gaussian_matrix(50, 4096, 0.3, 1.0, 4);
+  const auto rows = g.row_views();
+  const SignStats honest = sign_statistics(vec::mean_of(rows));
   double prev_pos = 1.0;
   for (const double z : {0.3, 0.8, 1.5, 3.0}) {
-    const auto gm = attacks::LieAttack::craft_vector(g, z);
+    const auto gm = attacks::LieAttack::craft_vector(rows, z);
     const SignStats s = sign_statistics(gm);
     EXPECT_LE(s.pos, prev_pos + 1e-9);  // monotone collapse with z
     prev_pos = s.pos;
   }
-  const auto gm_strong = attacks::LieAttack::craft_vector(g, 3.0);
+  const auto gm_strong = attacks::LieAttack::craft_vector(rows, 3.0);
   const SignStats strong = sign_statistics(gm_strong);
   EXPECT_GT(honest.pos, 0.5);
   EXPECT_LT(strong.pos, 0.05);
@@ -147,17 +143,19 @@ TEST(Lemma1, NonIidDeviationBound) {
 // sup term of the assumption) even under corruption.
 TEST(Assumption2, SignGuardBiasWithinPairwiseSup) {
   const std::size_t n = 20, m = 4, d = 2048;
-  auto g = gaussian_grads(n - m, d, 0.3, 0.8, 6);
-  const auto benign_mean = vec::mean_of(g);
+  const auto benign = gaussian_matrix(n - m, d, 0.3, 0.8, 6);
+  auto rows = benign.row_views();
+  const auto benign_mean = vec::mean_of(rows);
   double sup_pair = 0.0;
-  for (std::size_t i = 0; i < g.size(); ++i)
-    for (std::size_t j = i + 1; j < g.size(); ++j)
-      sup_pair = std::max(sup_pair, vec::dist(g[i], g[j]));
-  const auto gm = attacks::LieAttack::craft_vector(g, 1.0);
-  for (std::size_t i = 0; i < m; ++i) g.push_back(gm);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    for (std::size_t j = i + 1; j < rows.size(); ++j)
+      sup_pair = std::max(sup_pair, vec::dist(rows[i], rows[j]));
+  const auto gm = attacks::LieAttack::craft_vector(rows, 1.0);
+  rows.insert(rows.end(), m, gm);
 
   core::SignGuard sg(core::plain_config());
-  const auto out = sg.aggregate(g, agg::GarContext{});
+  const auto out = sg.aggregate(common::GradientMatrix::from_views(rows),
+                                agg::GarContext{});
   EXPECT_LT(vec::dist(out, benign_mean), sup_pair);
 }
 
@@ -176,10 +174,11 @@ TEST(Theorem1, LearningRateCeilingPositive) {
 // Jensen step used in Proposition 1's proof: the norm of the average is
 // at most the max norm of the population.
 TEST(Proposition1, NormOfAverageBelowMaxNorm) {
-  const auto g = gaussian_grads(16, 512, 0.1, 1.0, 7);
-  const auto avg = vec::mean_of(g);
+  const auto g = gaussian_matrix(16, 512, 0.1, 1.0, 7);
+  const auto rows = g.row_views();
+  const auto avg = vec::mean_of(rows);
   double max_norm = 0.0;
-  for (const auto& gi : g) max_norm = std::max(max_norm, vec::norm(gi));
+  for (const auto gi : rows) max_norm = std::max(max_norm, vec::norm(gi));
   EXPECT_LE(vec::norm(avg), max_norm);
 }
 
