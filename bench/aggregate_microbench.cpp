@@ -10,7 +10,7 @@
 //   ./aggregate_microbench [--json=BENCH_aggregate.json] [--min-ms=200]
 //                          [--gars=Mean,Multi-Krum] [--max-n=N] [--max-d=D]
 //                          [--assert-krum-speedup=3.0]
-//                          [--assert-bulyan-krum-ratio=2.7]
+//                          [--assert-bulyan-krum-ratio=1.8]
 //
 // --assert-krum-speedup makes the binary exit non-zero unless the Gram
 // backend beats the direct pair loops on the Multi-Krum n=256, d=1M

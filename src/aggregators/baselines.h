@@ -78,8 +78,9 @@ class MultiKrumAggregator : public Aggregator {
 // column's values whatever the row order. Ties are common: int8-grid
 // uplinks repeat values, crafted rows are identical, and at even theta
 // the two middle values are always equidistant from the median. NaN
-// coordinates are never nearer the median than a number (see
-// stats::mean_around_median_in_place).
+// coordinates are never nearer the median than a number. The coordinate
+// step runs on vec::mean_around_median_columns, which sorts a tile of
+// columns of the selected rows at once on a min/max sorting network.
 class BulyanAggregator : public Aggregator {
  public:
   std::vector<float> aggregate(const common::GradientMatrix& grads,

@@ -3,7 +3,6 @@
 #include "aggregators/baselines.h"
 #include "aggregators/internal.h"
 #include "common/gradient_stats.h"
-#include "common/quantiles.h"
 #include "common/vecops.h"
 #include "obs/trace.h"
 
@@ -49,23 +48,15 @@ std::vector<float> BulyanAggregator::aggregate(
   }
 
   // Phase 2: per coordinate, average the beta = theta - 2m selected values
-  // closest to the coordinate median. The selected rows are transposed
-  // tile-by-tile into contiguous column panels (vec::for_each_column), so
-  // the selection statistic never walks the matrix at stride d, and the
-  // window kernel sorts each panel column in place.
+  // closest to the coordinate median, all coordinates of a column tile
+  // at once on one sorting network (vec::mean_around_median_columns).
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterAdmits,
              selected_.size());
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterRejects,
              n - selected_.size());
   const std::size_t beta =
       std::max<std::size_t>(1, theta > 2 * m ? theta - 2 * m : 1);
-  std::vector<float> out(grads.cols());
-  vec::for_each_column(
-      grads, selected_, [&](std::size_t j, std::span<float> col) {
-        out[j] = static_cast<float>(
-            stats::mean_around_median_in_place(col, beta));
-      });
-  return out;
+  return vec::mean_around_median_columns(grads, selected_, beta);
 }
 
 }  // namespace signguard::agg

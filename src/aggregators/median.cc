@@ -20,7 +20,7 @@ std::vector<float> MedianAggregator::aggregate(
   // per-coordinate stride-d gather. The column holds the same values in
   // the same row order as the old per-coordinate copy, so the selected
   // median is bitwise unchanged.
-  vec::for_each_column(grads, {}, [&](std::size_t j, std::span<float> col) {
+  vec::for_each_column(grads, [&](std::size_t j, std::span<float> col) {
     std::nth_element(col.begin(), col.begin() + std::ptrdiff_t(mid),
                      col.end());
     if (n % 2 == 1) {

@@ -21,7 +21,7 @@ std::vector<float> TrimmedMeanAggregator::aggregate(
   // the middle ranks, and only that kept segment is sorted so the
   // accumulation still runs in ascending value order — the same partial
   // sums, bit for bit, as sorting the whole column.
-  vec::for_each_column(grads, {}, [&](std::size_t j, std::span<float> col) {
+  vec::for_each_column(grads, [&](std::size_t j, std::span<float> col) {
     const auto keep_begin = col.begin() + std::ptrdiff_t(trim);
     const auto keep_end = col.begin() + std::ptrdiff_t(n - trim);
     if (trim > 0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -239,6 +240,35 @@ inline constexpr int kInt8MinExp = -149;  // 2^-149 = smallest denormal step
 // 127 * 2^121 < FLT_MAX < 127 * 2^122.
 inline constexpr int kInt8MaxExp = 121;
 
+// max |x| over a chunk, in 8 independent lanes so eight maxss chains
+// run in flight instead of one serial chain. Max is exact and
+// std::max(m, NaN) keeps m, so NaNs are skipped and the lane split
+// cannot change the result.
+float max_abs(std::span<const float> in) {
+  float lanes[8] = {};
+  std::size_t j = 0;
+  for (; j + 8 <= in.size(); j += 8)
+    for (std::size_t l = 0; l < 8; ++l)
+      lanes[l] = std::max(lanes[l], std::fabs(in[j + l]));
+  float m = 0.0f;
+  for (; j < in.size(); ++j) m = std::max(m, std::fabs(in[j]));
+  for (const float v : lanes) m = std::max(m, v);
+  return m;
+}
+
+// table[b] = ldexp(int8(b), e), bitwise. For every exponent a valid
+// header can carry, the step 2^e is a representable float (normal or
+// denormal) and int8(b) * 2^e is exact — its lowest set bit is at least
+// 2^e >= 2^-149 and |int8(b)| * 2^e <= 127 * 2^121 < FLT_MAX — so one
+// ldexp per chunk builds the table instead of one per entry. Callers
+// pass only exponents that decode_chunk / validate_chunk accept.
+void decode_table(int e, float table[256]) {
+  assert(e >= kInt8MinExp && e <= kInt8MaxExp);
+  const float step = std::ldexp(1.0f, e);
+  for (int b = 0; b < 256; ++b)
+    table[b] = static_cast<float>(static_cast<std::int8_t>(b)) * step;
+}
+
 class Int8Codec final : public Codec {
  public:
   using Codec::Codec;
@@ -251,8 +281,7 @@ class Int8Codec final : public Codec {
 
   void encode_chunk(std::span<const float> in, std::uint8_t* out,
                     CodecScratch&) const override {
-    float maxabs = 0.0f;
-    for (const float v : in) maxabs = std::max(maxabs, std::fabs(v));
+    const float maxabs = max_abs(in);
     int e = 0;
     if (!std::isfinite(maxabs)) {
       // A Byzantine-crafted row can carry ±inf/NaN; frexp's exponent is
@@ -265,28 +294,7 @@ class Int8Codec final : public Codec {
       e = std::max(exp - 7, kInt8MinExp);
     }
     put_u16(out, static_cast<std::uint16_t>(static_cast<std::int16_t>(e)));
-    std::uint8_t* codes = out + 2;
-    // Hot path: x * 2^-e is one exact multiply whenever 2^-e is a normal
-    // float (a power of two times a float is correctly rounded exactly
-    // like ldexp). Only deep-denormal chunks (e < -126) take the ldexp
-    // fallback. Default rounding mode (FE_TONEAREST) = round half to
-    // even; nothing in this codebase ever changes it.
-    if (e >= -126 && e <= 126) {
-      const float inv_step = std::ldexp(1.0f, -e);
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        float r = std::nearbyint(in[j] * inv_step);
-        r = std::min(127.0f, std::max(-127.0f, r));
-        codes[j] = static_cast<std::uint8_t>(
-            static_cast<std::int8_t>(static_cast<int>(r)));
-      }
-    } else {
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        float r = std::nearbyint(std::ldexp(in[j], -e));
-        r = std::min(127.0f, std::max(-127.0f, r));
-        codes[j] = static_cast<std::uint8_t>(
-            static_cast<std::int8_t>(static_cast<int>(r)));
-      }
-    }
+    int8_codes(in, e, out + 2);
   }
 
   bool decode_chunk(std::span<const std::uint8_t> in,
@@ -294,13 +302,11 @@ class Int8Codec final : public Codec {
     const int e = static_cast<std::int16_t>(get_u16(in.data()));
     if (e < kInt8MinExp || e > kInt8MaxExp) return false;
     const std::uint8_t* codes = in.data() + 2;
-    // One exact ldexp per possible code byte, then the chunk is a pure
+    // One exact value per possible code byte, then the chunk is a pure
     // table gather; the 0x80 sentinel (-128, unreachable by encode) is
     // flagged with an OR-accumulator so the loop stays branchless.
     float table[256];
-    for (int b = 0; b < 256; ++b)
-      table[b] = std::ldexp(
-          static_cast<float>(static_cast<std::int8_t>(b)), e);  // exact
+    decode_table(e, table);
     std::uint32_t bad = 0;
     for (std::size_t j = 0; j < out.size(); ++j) {
       const std::uint8_t c = codes[j];
@@ -329,13 +335,10 @@ class Int8Codec final : public Codec {
     // double(table_f32[c]) * double(table_f32[c]), the exact term the
     // decode-path norm chain adds for code c. The chunk then costs one
     // table gather per byte instead of a float materialization.
+    float table[256];
+    decode_table(e, table);
     double q2[256];
-    for (int b = 0; b < 256; ++b) {
-      const float f =
-          std::ldexp(static_cast<float>(static_cast<std::int8_t>(b)), e);
-      const double d = double(f);
-      q2[b] = d * d;
-    }
+    for (int b = 0; b < 256; ++b) q2[b] = double(table[b]) * double(table[b]);
     for (std::size_t j = 0; j < len; ++j) acc += q2[codes[j]];
     return acc;
   }
@@ -524,6 +527,37 @@ class TopKCodec final : public Codec {
 };
 
 }  // namespace
+
+void int8_codes(std::span<const float> x, int e, std::uint8_t* codes) {
+  // y = x * 2^-e is one exact multiply whenever 2^-e is a normal float (a
+  // power of two times a float is correctly rounded exactly like ldexp);
+  // only deep-denormal steps (e < -126) take ldexp per coordinate.
+  const bool scaled = e >= -126 && e <= 126;
+  const float inv_step = scaled ? std::ldexp(1.0f, -e) : 1.0f;
+  // Clamping first puts y in [-127, 127]; adding 1.5 * 2^23 then lands in
+  // [2^23, 2^24), a binade whose ulp is 1, so the add rounds y to an
+  // integer under the default round-to-nearest-even mode (the sum keeps
+  // y's parity, 1.5 * 2^23 being even) and the subtract is exact. That
+  // equals clamp(nearbyint(y)) for every float y (checked over all 2^32
+  // inputs), with no libm call. Clamp and round run as two passes over a
+  // block: fused into one loop, GCC folds the rounding of the clamped
+  // bounds into branch arms and no longer vectorizes it.
+  constexpr float kRound = 0x1.8p23f;
+  constexpr std::size_t kBlock = 64;
+  float c[kBlock];
+  for (std::size_t base = 0; base < x.size(); base += kBlock) {
+    const std::size_t m = std::min(kBlock, x.size() - base);
+    const float* in = x.data() + base;
+    for (std::size_t j = 0; j < m; ++j) {
+      const float y = scaled ? in[j] * inv_step : std::ldexp(in[j], -e);
+      c[j] = std::min(127.0f, std::max(-127.0f, y));
+    }
+    std::uint8_t* out = codes + base;
+    for (std::size_t j = 0; j < m; ++j)
+      out[j] = static_cast<std::uint8_t>(
+          static_cast<std::int8_t>(static_cast<int>((c[j] + kRound) - kRound)));
+  }
+}
 
 std::size_t topk_keep_count(double k_fraction, std::size_t len) {
   if (len == 0) return 0;

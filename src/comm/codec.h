@@ -156,6 +156,13 @@ class Codec {
 // arithmetic instead of re-deriving it.
 std::size_t topk_keep_count(double k_fraction, std::size_t len);
 
+// The int8 codec's quantizer: codes[j] = round-half-even(x[j] * 2^-e)
+// clamped to [-127, 127], as a two's-complement byte; a NaN clamps to
+// -127. This is the encoder's inner loop once it has picked the chunk's
+// step exponent e, exposed so tests can pin the rounding against
+// std::nearbyint on arbitrary inputs.
+void int8_codes(std::span<const float> x, int e, std::uint8_t* codes);
+
 // Canonical lowercase codec names ("none", "sign1", "int8", "topk").
 const char* codec_name(CodecKind kind);
 // Throws std::invalid_argument for an unknown name.

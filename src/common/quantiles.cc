@@ -69,31 +69,6 @@ double trimmed_mean(std::span<const double> xs, std::size_t trim) {
   return acc / double(v.size() - 2 * trim);
 }
 
-double mean_around_median_in_place(std::span<float> xs, std::size_t k) {
-  assert(k >= 1 && k <= xs.size());
-  const auto numbers_end = std::partition(
-      xs.begin(), xs.end(), [](float x) { return !std::isnan(x); });
-  const std::size_t c = std::size_t(numbers_end - xs.begin());
-  if (k > c) return std::numeric_limits<double>::quiet_NaN();
-  std::sort(xs.begin(), numbers_end);
-  const std::size_t mid = c / 2;
-  const double med = c % 2 == 1
-                         ? double(xs[mid])
-                         : 0.5 * (double(xs[mid - 1]) + double(xs[mid]));
-  // xs[..mid) <= med <= xs[mid..c), so each side is already in distance
-  // order walking away from the median: merge the two sides outward,
-  // taking the left (lower) candidate on equal distance. [lo, hi) is the
-  // window taken so far.
-  const auto dist = [med](float x) { return std::abs(double(x) - med); };
-  std::size_t lo = mid, hi = mid;
-  double acc = 0.0;
-  for (std::size_t t = 0; t < k; ++t) {
-    const bool left = hi == c || (lo > 0 && dist(xs[lo - 1]) <= dist(xs[hi]));
-    acc += left ? double(xs[--lo]) : double(xs[hi++]);
-  }
-  return acc / double(k);
-}
-
 double mean(std::span<const double> xs) {
   assert(!xs.empty());
   double acc = 0.0;

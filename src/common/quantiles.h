@@ -1,7 +1,10 @@
 #pragma once
 // Order statistics over small scalar samples: medians, quantiles and
-// trimmed means. These back the coordinate-wise robust aggregation rules
-// and SignGuard's norm-median reference.
+// trimmed means, behind SignGuard's norm-median reference and the
+// similarity statistics. The coordinate-wise GARs work on column tiles
+// instead: vec::for_each_column panels for Median and TrMean, and one
+// sorting network per tile for Bulyan's coordinate step
+// (vec::mean_around_median_columns).
 
 #include <cstddef>
 #include <span>
@@ -24,16 +27,6 @@ double quantile(std::span<const double> xs, double q);
 // Mean after removing the `trim` smallest and `trim` largest entries.
 // Precondition: xs.size() > 2 * trim.
 double trimmed_mean(std::span<const double> xs, std::size_t trim);
-
-// Mean of the k values closest to the median of xs (Bulyan's coordinate
-// step), computed in place: xs is left permuted (NaNs last, the numbers
-// before them in ascending order). The median is that of the numbers;
-// the k values are added in ascending |x - med| order, the lower value
-// first on equal distance, so the result depends only on the values in
-// xs, never on their order. A NaN is never nearer the median than a
-// number and never enters a comparison: with fewer than k numbers in xs
-// the result is NaN. Precondition: 1 <= k <= xs.size().
-double mean_around_median_in_place(std::span<float> xs, std::size_t k);
 
 // Arithmetic mean; Precondition: non-empty.
 double mean(std::span<const double> xs);

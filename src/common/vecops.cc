@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "nn/gemm.h"
@@ -395,10 +397,10 @@ CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
 }
 
 void for_each_column(
-    const common::GradientMatrix& g, std::span<const std::size_t> rows,
+    const common::GradientMatrix& g,
     const std::function<void(std::size_t, std::span<float>)>& fn) {
   const std::size_t d = g.cols();
-  const std::size_t n = rows.empty() ? g.rows() : rows.size();
+  const std::size_t n = g.rows();
   if (n == 0 || d == 0) return;
   // Panel width: 64 columns x n rows. The transposition pass reads each
   // source row segment sequentially (one cache-line touch per line) and
@@ -414,7 +416,7 @@ void for_each_column(
           const std::size_t j1 = std::min(d, j0 + kPanelCols);
           const std::size_t w = j1 - j0;
           for (std::size_t r = 0; r < n; ++r) {
-            const auto row = g.row(rows.empty() ? r : rows[r]);
+            const auto row = g.row(r);
             for (std::size_t c = 0; c < w; ++c)
               panel[c * n + r] = row[j0 + c];
           }
@@ -424,5 +426,135 @@ void for_each_column(
       });
 }
 
-}  // namespace signguard::vec
+namespace {
 
+// Batcher's merge-exchange network for n keys (Knuth, TAOCP 5.2.2,
+// Algorithm M) as a flat list of compare-exchange pairs (a, b), a < b.
+// It sorts any n; at n = 60 it is 505 pairs.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> merge_exchange_network(
+    std::size_t n) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  if (n < 2) return pairs;
+  std::size_t t = 0;
+  while ((std::size_t{1} << t) < n) ++t;
+  for (std::size_t p = std::size_t{1} << (t - 1); p > 0; p >>= 1) {
+    std::size_t q = std::size_t{1} << (t - 1), r = 0, d = p;
+    while (true) {
+      for (std::size_t i = 0; i + d < n; ++i)
+        if ((i & p) == r)
+          pairs.emplace_back(std::uint32_t(i), std::uint32_t(i + d));
+      if (q == p) break;
+      d = q - p;
+      q >>= 1;
+      r = p;
+    }
+  }
+  return pairs;
+}
+
+// Lanes (columns) per mean_around_median_columns tile: four SSE vectors
+// per compare-exchange. At theta = 60 the 60 x 16 panel is 3.75 KB; at
+// theta = 1024 it outgrows L1 (64 KB), yet measured no slower than 8- or
+// 4-lane tiles, so one width serves every selection size.
+constexpr std::size_t kLanes = 16;
+
+// Row r's lanes of a mean_around_median_columns panel: NaN enters the
+// network as +inf and is counted per lane, so the network never sees a
+// NaN, and the first c = n - nans sorted slots of a lane are exactly its
+// numbers in ascending order (a real +inf and a mapped NaN are the same
+// key). restrict on the parameters is what lets GCC vectorize this and
+// compare_exchange below into packed SSE (cmpps/minps/maxps); inlined
+// into the tile loop, GCC 12 splits the lane counters into scalars and
+// drops back to one ucomiss per lane, hence noinline.
+[[gnu::noinline]] void load_panel_row(const float* __restrict src,
+                                      float* __restrict dst,
+                                      std::uint32_t* __restrict nans) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const float x = src[l];
+    nans[l] += x != x;
+    dst[l] = x != x ? kInf : x;
+  }
+}
+
+void compare_exchange(float* __restrict lo, float* __restrict hi) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const float x = lo[l], y = hi[l];
+    lo[l] = std::min(x, y);
+    hi[l] = std::max(x, y);
+  }
+}
+
+// One tile of mean_around_median_columns: w <= kLanes columns of the n
+// selected rows, sorted as independent lanes. The panel is row-major
+// (row r's lanes at panel[r * kLanes]), so each source row segment is
+// copied contiguously and every compare-exchange is a min/max over all
+// lanes.
+void mean_around_median_tile(
+    const common::GradientMatrix& g, std::span<const std::size_t> rows,
+    std::size_t n, std::size_t k,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> network,
+    std::size_t j0, std::size_t w, float* panel, float* out) {
+  std::uint32_t nans[kLanes] = {};
+  float tail[kLanes] = {};  // the unused lanes of a tail tile sort zeros
+  for (std::size_t r = 0; r < n; ++r) {
+    const float* src = g.row(rows[r]).data() + j0;
+    if (w < kLanes) {
+      std::copy_n(src, w, tail);
+      src = tail;
+    }
+    load_panel_row(src, panel + r * kLanes, nans);
+  }
+  for (const auto& [a, b] : network)
+    compare_exchange(panel + std::size_t(a) * kLanes,
+                     panel + std::size_t(b) * kLanes);
+  for (std::size_t l = 0; l < w; ++l) {
+    const std::size_t c = n - nans[l];
+    if (k > c) {
+      out[l] = std::numeric_limits<float>::quiet_NaN();
+      continue;
+    }
+    const auto x = [&](std::size_t i) { return panel[i * kLanes + l]; };
+    const std::size_t mid = c / 2;
+    const double med = c % 2 == 1 ? double(x(mid))
+                                  : 0.5 * (double(x(mid - 1)) + double(x(mid)));
+    // x(..mid) <= med <= x(mid..c), so each side is already in distance
+    // order walking away from the median: merge the two sides outward,
+    // taking the left (lower) candidate on equal distance. [lo, hi) is
+    // the window taken so far.
+    const auto dist = [med](float v) { return std::abs(double(v) - med); };
+    std::size_t lo = mid, hi = mid;
+    double acc = 0.0;
+    for (std::size_t t = 0; t < k; ++t) {
+      const bool left = hi == c || (lo > 0 && dist(x(lo - 1)) <= dist(x(hi)));
+      acc += left ? double(x(--lo)) : double(x(hi++));
+    }
+    out[l] = static_cast<float>(acc / double(k));
+  }
+}
+
+}  // namespace
+
+std::vector<float> mean_around_median_columns(
+    const common::GradientMatrix& g, std::span<const std::size_t> rows,
+    std::size_t k) {
+  const std::size_t n = rows.size();
+  assert(k >= 1 && k <= n);
+  const std::size_t d = g.cols();
+  std::vector<float> out(d);
+  const auto network = merge_exchange_network(n);
+  const std::size_t tiles = (d + kLanes - 1) / kLanes;
+  common::parallel_chunks(
+      tiles, [&](std::size_t t_begin, std::size_t t_end, std::size_t) {
+        std::vector<float> panel(n * kLanes);
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          const std::size_t j0 = t * kLanes;
+          mean_around_median_tile(g, rows, n, k, network, j0,
+                                  std::min(kLanes, d - j0), panel.data(),
+                                  out.data() + j0);
+        }
+      });
+  return out;
+}
+
+}  // namespace signguard::vec

@@ -141,16 +141,28 @@ CoordinateMoments coordinate_moments(const common::GradientMatrix& g);
 
 // ---- column panels ---------------------------------------------------------
 // Cache-blocked column-statistic sweep: transposes fixed-width column
-// tiles of g — restricted to `rows` when non-empty, all rows otherwise —
-// into a per-worker panel, then calls fn(j, column) for every coordinate
-// j with that column's values contiguous and mutable (selection
-// algorithms may permute them), ordered by position in `rows`. Each tile
+// tiles of g into a per-worker panel, then calls fn(j, column) for every
+// coordinate j with that column's values contiguous and mutable
+// (selection algorithms may permute them), in row order. Each tile
 // reads the source row-major (every cache line touched once) instead of
 // the per-coordinate stride-d walk, and each coordinate is produced by
 // exactly one worker, so results are thread-count-invariant whenever fn
 // is deterministic.
 void for_each_column(
-    const common::GradientMatrix& g, std::span<const std::size_t> rows,
+    const common::GradientMatrix& g,
     const std::function<void(std::size_t, std::span<float>)>& fn);
+
+// Bulyan's coordinate step, column-batched: out[j] is the mean of the k
+// values of column j, over the rows listed in `rows`, closest to that
+// column's median. The median is that of the column's numbers; the k values are added in ascending |x - med|
+// order, the lower value first on equal distance, so the result depends
+// only on the column's values, never on the row order. A NaN is never
+// nearer the median than a number: a column with fewer than k numbers
+// yields NaN. Tiles of columns are sorted together by one min/max
+// sorting network (see the .cc); each tile is produced by one worker, so
+// results are thread-count-invariant. Precondition: 1 <= k <= |rows|.
+std::vector<float> mean_around_median_columns(
+    const common::GradientMatrix& g, std::span<const std::size_t> rows,
+    std::size_t k);
 
 }  // namespace signguard::vec

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -218,7 +220,7 @@ TEST(ColumnPanels, SweepIsThreadCountInvariant) {
   EXPECT_EQ(tm.aggregate(m, ctx), tm_t1);
 }
 
-// ---- Bulyan coordinate kernel vs the seed copy-and-sort ---------------------
+// ---- Bulyan coordinate kernel vs the scalar oracle -------------------------
 
 // The pre-panel mean_around_median: copy, median, comparator sort of the
 // copy by |x - med|, sum of the first k — the bitwise oracle wherever no
@@ -249,8 +251,38 @@ double tie_rule_mean_around_median(std::span<const float> xs,
   return acc / double(k);
 }
 
-double kernel(std::vector<float> column, std::size_t k) {
-  return stats::mean_around_median_in_place(column, k);
+// The scalar oracle: the per-coordinate kernel Bulyan ran before the
+// column-batched network. NaNs are partitioned last and the numbers
+// sorted with std::sort; the median is that of the numbers, and the
+// outward merge adds the k values in ascending |x - med|, the lower value
+// first on equal distance. Fewer than k numbers gives NaN.
+double scalar_mean_around_median(std::vector<float> xs, std::size_t k) {
+  const auto numbers_end = std::partition(
+      xs.begin(), xs.end(), [](float x) { return !std::isnan(x); });
+  const std::size_t c = std::size_t(numbers_end - xs.begin());
+  if (k > c) return std::numeric_limits<double>::quiet_NaN();
+  std::sort(xs.begin(), numbers_end);
+  const std::size_t mid = c / 2;
+  const double med = c % 2 == 1
+                         ? double(xs[mid])
+                         : 0.5 * (double(xs[mid - 1]) + double(xs[mid]));
+  const auto dist = [med](float x) { return std::abs(double(x) - med); };
+  std::size_t lo = mid, hi = mid;
+  double acc = 0.0;
+  for (std::size_t t = 0; t < k; ++t) {
+    const bool left = hi == c || (lo > 0 && dist(xs[lo - 1]) <= dist(xs[hi]));
+    acc += left ? double(xs[--lo]) : double(xs[hi++]);
+  }
+  return acc / double(k);
+}
+
+// The column kernel on a single column (one lane of a tail tile).
+float kernel(const std::vector<float>& column, std::size_t k) {
+  common::GradientMatrix m(column.size(), 1);
+  for (std::size_t i = 0; i < column.size(); ++i) m.at(i, 0) = column[i];
+  std::vector<std::size_t> rows(column.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  return vec::mean_around_median_columns(m, rows, k)[0];
 }
 
 std::vector<std::size_t> window_sizes(std::size_t n) {
@@ -277,7 +309,7 @@ TEST(CoordinateKernel, MatchesSeedBitwiseOnTieFreeColumns) {
             n % 2 == 0 && beta == 1
                 ? tie_rule_mean_around_median(column, beta)
                 : seed_mean_around_median(wide, beta);
-        EXPECT_EQ(kernel(column, beta), expected)
+        EXPECT_EQ(kernel(column, beta), static_cast<float>(expected))
             << "n=" << n << " beta=" << beta << " trial=" << trial;
       }
     }
@@ -302,7 +334,8 @@ TEST(CoordinateKernel, TieHeavyColumnsFollowTheTieRule) {
       const auto column = grid_column(n, rng);
       for (const std::size_t beta : window_sizes(n))
         EXPECT_EQ(kernel(column, beta),
-                  tie_rule_mean_around_median(column, beta))
+                  static_cast<float>(
+                      tie_rule_mean_around_median(column, beta)))
             << "n=" << n << " beta=" << beta << " trial=" << trial;
     }
   }
@@ -313,7 +346,7 @@ TEST(CoordinateKernel, ResultIgnoresRowOrder) {
   for (const std::size_t n : {8ul, 60ul, 61ul}) {
     for (int trial = 0; trial < 50; ++trial) {
       auto column = grid_column(n, rng);
-      std::vector<double> expected;
+      std::vector<float> expected;
       for (const std::size_t beta : window_sizes(n))
         expected.push_back(kernel(column, beta));
       std::vector<std::size_t> perm(n);
@@ -335,10 +368,115 @@ TEST(CoordinateKernel, NaNIsNeverNearerTheMedianThanANumber) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> column = {nan, 3.0f, 1.0f, nan, 2.0f};
   // Median of the numbers {1, 2, 3} is 2; the NaNs rank last.
-  EXPECT_EQ(kernel(column, 1), 2.0);
-  EXPECT_EQ(kernel(column, 3), 2.0);
+  EXPECT_EQ(kernel(column, 1), 2.0f);
+  EXPECT_EQ(kernel(column, 3), 2.0f);
   EXPECT_TRUE(std::isnan(kernel(column, 4)));
   EXPECT_TRUE(std::isnan(kernel({nan, nan}, 1)));
+}
+
+// Differential fixture for the column kernel: an n x d matrix whose
+// column j is drawn from `regime`, with d chosen so every tile width
+// leaves a partial tail tile.
+//   0: gaussian; 1: tie-heavy grid columns; 2: signed zeros among a few
+//   grid levels; 3: ±inf everywhere, and NaN in some lanes only — lane j
+//   carries (j mod 4) * n / 3 NaNs, so some lanes have fewer than k
+//   numbers for the larger windows.
+common::GradientMatrix kernel_fixture(std::size_t n, std::size_t d,
+                                      int regime, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  common::GradientMatrix m(n, d);
+  for (std::size_t j = 0; j < d; ++j) {
+    std::vector<float> column(n);
+    switch (regime) {
+      case 0:
+        for (auto& x : column) x = static_cast<float>(rng.normal(0.1, 1.0));
+        break;
+      case 1:
+        column = grid_column(n, rng);
+        break;
+      case 2:
+        for (auto& x : column) {
+          const int level = rng.randint(-2, 2);
+          x = level == 0 ? (rng.bernoulli(0.5) ? -0.0f : 0.0f)
+                         : 0.25f * float(level);
+        }
+        break;
+      default: {
+        for (auto& x : column) {
+          const double u = rng.uniform();
+          x = u < 0.1 ? inf : u < 0.2 ? -inf : float(rng.normal());
+        }
+        const std::size_t nans = (j % 4) * n / 3;
+        for (std::size_t i = 0; i < nans; ++i) column[i] = nan;
+        break;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) m.at(i, j) = column[i];
+  }
+  return m;
+}
+
+// Bitwise equality with NaN equal to NaN (both sides produce quiet NaN).
+bool same_float(float a, float b) {
+  return std::isnan(a) ? std::isnan(b)
+                       : std::bit_cast<std::uint32_t>(a) ==
+                             std::bit_cast<std::uint32_t>(b);
+}
+
+TEST(CoordinateKernel, MatchesScalarOracleBitwise) {
+  Rng rng(114);
+  // 300 and 600: merge-exchange networks of non-power-of-two sizes well
+  // past the round's theta, on panels larger than L1.
+  for (const std::size_t n : {1ul, 2ul, 3ul, 5ul, 8ul, 33ul, 60ul, 61ul,
+                              64ul, 65ul, 129ul, 256ul, 300ul, 600ul}) {
+    const std::size_t d = 37;  // 2 full 16-lane tiles + a 5-lane tail
+    for (int regime = 0; regime < 4; ++regime) {
+      const auto m = kernel_fixture(n, d, regime, rng);
+      // All rows, and a shuffled subset of rows as Bulyan passes them.
+      std::vector<std::size_t> all(n);
+      std::iota(all.begin(), all.end(), 0);
+      std::vector<std::size_t> subset = all;
+      rng.shuffle(subset);
+      subset.resize(std::max<std::size_t>(1, n - n / 4));
+      for (const bool use_subset : {false, true}) {
+        const std::vector<std::size_t>& rows = use_subset ? subset : all;
+        for (const std::size_t beta : window_sizes(rows.size())) {
+          const auto got = vec::mean_around_median_columns(m, rows, beta);
+          ASSERT_EQ(got.size(), d);
+          for (std::size_t j = 0; j < d; ++j) {
+            std::vector<float> column(rows.size());
+            for (std::size_t r = 0; r < rows.size(); ++r)
+              column[r] = m.at(rows[r], j);
+            const auto expected = static_cast<float>(
+                scalar_mean_around_median(column, beta));
+            ASSERT_TRUE(same_float(got[j], expected))
+                << "n=" << n << " regime=" << regime
+                << " subset=" << use_subset << " beta=" << beta
+                << " j=" << j << ": " << got[j] << " vs " << expected;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoordinateKernel, ThreadCountInvariant) {
+  BackendGuard guard;
+  Rng rng(115);
+  for (int regime = 0; regime < 4; ++regime) {
+    const auto m = kernel_fixture(60, 1001, regime, rng);
+    std::vector<std::size_t> rows(40);
+    std::iota(rows.begin(), rows.end(), 10);
+    common::set_thread_count(1);
+    const auto t1 = vec::mean_around_median_columns(m, rows, 12);
+    common::set_thread_count(4);
+    const auto t4 = vec::mean_around_median_columns(m, rows, 12);
+    ASSERT_EQ(t1.size(), t4.size());
+    for (std::size_t j = 0; j < t1.size(); ++j)
+      ASSERT_TRUE(same_float(t1[j], t4[j])) << "regime=" << regime
+                                            << " j=" << j;
+  }
 }
 
 // ---- Krum ranking / Bulyan mask satellites ---------------------------------

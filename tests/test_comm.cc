@@ -161,6 +161,67 @@ TEST(CommCodec, Int8StaysWithinHalfAQuantizationStep) {
   }
 }
 
+// The quantizer's clamp-then-add-1.5*2^23 rounding against the libm
+// definition clamp(nearbyint(y)) it replaced, at step 2^0 so y is the
+// input itself: every half-integer in [-130, 130] and its float
+// neighbours, the special values, and 1M random bit patterns. (The same
+// identity holds over all 2^32 floats.)
+TEST(CommCodec, Int8RoundingMatchesNearbyint) {
+  std::vector<float> ys;
+  for (int h = -260; h <= 260; ++h) {
+    const float y = 0.5f * float(h);
+    ys.insert(ys.end(), {y, std::nextafter(y, -INFINITY),
+                         std::nextafter(y, INFINITY)});
+  }
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  ys.insert(ys.end(), {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity(),
+                       std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::quiet_NaN(), denorm,
+                       -denorm, 1e-40f, -1e-40f,
+                       std::numeric_limits<float>::min(),
+                       std::numeric_limits<float>::max(),
+                       -std::numeric_limits<float>::max()});
+  std::uint64_t s = 99;
+  for (int i = 0; i < 1000000; ++i) {
+    s = common::splitmix64(s);
+    ys.push_back(std::bit_cast<float>(std::uint32_t(s)));
+  }
+  std::vector<std::uint8_t> codes(ys.size());
+  comm::int8_codes(ys, 0, codes.data());
+  for (std::size_t i = 0; i < ys.size(); ++i) {
+    const float r = std::min(127.0f, std::max(-127.0f, std::nearbyint(ys[i])));
+    ASSERT_EQ(static_cast<std::int8_t>(codes[i]), static_cast<int>(r))
+        << "y=" << ys[i] << " bits=" << std::bit_cast<std::uint32_t>(ys[i]);
+  }
+}
+
+// Every legal step exponent, denormal steps included: a row holding each
+// code q in [-127, 127] at step 2^e encodes to exponent e and decodes to
+// exactly ldexp(q, e), so the one-multiply decode table is pinned to
+// the libm definition at every exponent a valid header can carry.
+TEST(CommCodec, Int8DecodeMatchesLdexpAtEveryExponent) {
+  const auto codec = comm::make_codec(spec_of(CodecKind::kInt8, 4096));
+  for (int e = -149; e <= 121; ++e) {
+    std::vector<float> row;
+    for (int q = -127; q <= 127; ++q) row.push_back(std::ldexp(float(q), e));
+    const auto buf = encode(*codec, row);
+    const auto decoded = decode_ok(*codec, buf, row.size());
+    for (std::size_t j = 0; j < row.size(); ++j)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(decoded[j]),
+                std::bit_cast<std::uint32_t>(row[j]))
+          << "e=" << e << " q=" << int(j) - 127;
+    const auto norms =
+        comm::wire_row_norms(comm::WireRound{codec.get(), {&buf, 1},
+                                             row.size()});
+    common::GradientMatrix m(1, row.size());
+    std::copy(decoded.begin(), decoded.end(), m.row(0).begin());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(norms[0]),
+              std::bit_cast<std::uint64_t>(vec::row_norms(m)[0]))
+        << "e=" << e;
+  }
+}
+
 TEST(CommCodec, TopKKeepsLargestMagnitudesWithExactValues) {
   Rng rng(19);
   const std::size_t chunk = 128;
@@ -819,6 +880,80 @@ TEST(CommTrainer, NonSignGuardGarsStayOnTheDecodePath) {
                           std::uint64_t(obs.participants) *
                               obs.aggregate.size() * 4);
               });
+}
+
+// ---- pinned bytes ----------------------------------------------------------
+// Neither the int8 codec nor Bulyan has a cell in the canonical golden
+// sweep, so these two hashes are what catches a single flipped bit in
+// either: the codec's encoded bytes (and their decode) on a fixed
+// matrix, and the aggregates of a short MinMax-vs-Bulyan int8 run.
+
+// Fixed int8 fixture from a splitmix64 stream (no distribution code, so
+// the values are the same on every standard library): one row per
+// regime — gaussian-ish, exact half-step ties, denormals, huge values,
+// signed zeros with non-finite entries, and raw bit patterns.
+common::GradientMatrix pinned_int8_matrix() {
+  const std::size_t d = 1000;  // 15 full 64-coordinate chunks + a tail
+  common::GradientMatrix m(6, d);
+  std::uint64_t s = 2024;
+  const auto next = [&s] { return s = common::splitmix64(s); };
+  const auto unit = [&] { return float(next() >> 40) * 0x1.0p-24f; };
+  for (std::size_t j = 0; j < d; ++j) {
+    m.at(0, j) = (unit() + unit() + unit() - 1.5f) * 0.01f;
+    m.at(1, j) = float(int(next() % 255) - 127) * 0.5f * 0x1.0p-10f;
+    m.at(2, j) = (unit() - 0.5f) * 1e-40f;
+    m.at(3, j) = (unit() - 0.5f) * 3e38f;
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              unit()};
+    m.at(4, j) = j % 64 == 0 ? specials[next() % 6] : unit() - 0.5f;
+    m.at(5, j) = std::bit_cast<float>(std::uint32_t(next()));
+  }
+  return m;
+}
+
+TEST(CommPinned, Int8EncodedBytesHash) {
+  const auto codec = comm::make_codec(spec_of(CodecKind::kInt8, 64));
+  const auto m = pinned_int8_matrix();
+  std::uint64_t bytes = common::kFnvOffsetBasis;
+  std::uint64_t decoded = common::kFnvOffsetBasis;
+  std::vector<std::vector<std::uint8_t>> uplinks;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    uplinks.push_back(encode(*codec, m.row(i)));
+    bytes = common::fnv1a64(uplinks.back().data(), uplinks.back().size(),
+                            bytes);
+    const auto out = decode_ok(*codec, uplinks.back(), m.cols());
+    decoded = common::fnv1a64(out.data(), out.size() * 4, decoded);
+  }
+  const auto norms =
+      comm::wire_row_norms(comm::WireRound{codec.get(), uplinks, m.cols()});
+  EXPECT_EQ(bytes, 0x31c75392f06912adull);
+  EXPECT_EQ(decoded, 0xddd2a045bd735766ull);
+  EXPECT_EQ(common::fnv1a64(norms.data(), norms.size() * 8),
+            0x0c6f9eb744911e48ull);
+}
+
+TEST(CommPinned, MinMaxVsBulyanInt8Aggregates) {
+  const auto data = comm_data();
+  fl::TrainerConfig cfg = comm_config();
+  cfg.n_clients = 20;  // m = 4: theta = 12 selected, a beta = 4 window
+  cfg.rounds = 4;
+  cfg.compression = spec_of(CodecKind::kInt8, 512);
+  std::vector<std::uint64_t> trace;
+  fl::Trainer trainer(data, comm_model(), cfg);
+  auto attack = fl::make_attack("MinMax");
+  trainer.run(*attack, fl::make_aggregator("Bulyan"),
+              [&](const fl::RoundObservation& obs) {
+                trace.push_back(common::fnv1a64(obs.aggregate.data(),
+                                                obs.aggregate.size() * 4));
+              });
+  const std::vector<std::uint64_t> pinned = {
+      0x07361e74857f82a9ull, 0xbd4d01ef1e7670e4ull, 0xa95d2a6a5302a2efull,
+      0xff4369543a3523fdull};
+  EXPECT_EQ(trace, pinned);
 }
 
 // ---- sweep integration -----------------------------------------------------

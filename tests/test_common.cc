@@ -177,11 +177,13 @@ TEST(Quantiles, TrimmedMeanDropsExtremes) {
 }
 
 TEST(Quantiles, MeanAroundMedian) {
-  std::vector<float> xs = {100.0f, 10.0f, 0.0f, 12.0f, 11.0f};
-  // median 11; the 3 closest are 10, 11, 12.
-  EXPECT_DOUBLE_EQ(stats::mean_around_median_in_place(xs, 3), 11.0);
-  // The column is left sorted in place.
-  EXPECT_TRUE(std::is_sorted(xs.begin(), xs.end()));
+  // One column: median 11; the 3 closest are 10, 11, 12.
+  const std::vector<std::vector<float>> rows = {
+      {100.0f}, {10.0f}, {0.0f}, {12.0f}, {11.0f}};
+  const auto m = common::GradientMatrix::from_vectors(rows);
+  const std::vector<std::size_t> all = {0, 1, 2, 3, 4};
+  EXPECT_EQ(vec::mean_around_median_columns(m, all, 3),
+            std::vector<float>{11.0f});
 }
 
 TEST(Quantiles, MeanAndStddev) {
