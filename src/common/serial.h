@@ -11,13 +11,21 @@
 // ByteReader is total on hostile bytes: every read is bounds-checked and
 // underflow throws std::runtime_error (a truncated or corrupted
 // checkpoint must fail loudly, never read out of bounds).
+//
+// Symmetric field lists: both classes take the same io(field) calls — a
+// writer writes the field, a reader overwrites it — so a checkpoint's
+// field list is written once, as a template over the stream type, and
+// saves and loads the same bytes by construction. kLoading tells the two
+// apart where a list must (a post-load restore, a save-only count).
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace signguard::common {
@@ -42,6 +50,37 @@ class ByteWriter {
   }
   void raw(const void* data, std::size_t len) {
     buf_.append(static_cast<const char*>(data), len);
+  }
+
+  static constexpr bool kLoading = false;
+  // Scalars: bools and one-byte enums as u8, 8-byte numbers as-is.
+  template <class T>
+    requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+  void io(T v) {
+    static_assert(sizeof(T) == 1 || sizeof(T) == 8);
+    if constexpr (sizeof(T) == 1) u8(static_cast<std::uint8_t>(v));
+    else raw(&v, sizeof v);
+  }
+  void io(std::string_view s) { str(s); }
+  void io(std::span<const float> v) { floats(v); }
+  void io(const std::optional<double>& v) {
+    io(v.has_value());
+    if (v) f64(*v);
+  }
+  // Length-prefixed sequence; `each` streams one element.
+  template <class T, class F>
+  void io(std::vector<T>& v, F&& each) {
+    u64(v.size());
+    for (T& e : v) each(e);
+  }
+  // A component's serialize_state, inline or as a length-prefixed blob.
+  template <class T>
+  void state(const T& obj) { obj.serialize_state(*this); }
+  template <class T>
+  void nested(const T& obj) {
+    ByteWriter b;
+    obj.serialize_state(b);
+    str(b.bytes());
   }
 
   const std::string& bytes() const { return buf_; }
@@ -98,6 +137,36 @@ class ByteReader {
     // a null pointer, even with len == 0.
     if (len != 0) std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
+  }
+
+  static constexpr bool kLoading = true;
+  template <class T>
+    requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+  void io(T& v) {
+    static_assert(sizeof(T) == 1 || sizeof(T) == 8);
+    if constexpr (std::is_same_v<T, bool>) v = u8() != 0;
+    else if constexpr (sizeof(T) == 1) v = static_cast<T>(u8());
+    else raw(&v, sizeof v);
+  }
+  void io(std::string& s) { s = str(); }
+  void io(std::vector<float>& v) { v = floats(); }
+  void io(std::optional<double>& v) {
+    v.reset();
+    if (u8() != 0) v = f64();
+  }
+  // Every element takes at least one byte, which bounds the count.
+  template <class T, class F>
+  void io(std::vector<T>& v, F&& each) {
+    v.resize(length(1));
+    for (T& e : v) each(e);
+  }
+  template <class T>
+  void state(T& obj) { obj.restore_state(*this); }
+  template <class T>
+  void nested(T& obj) {
+    const std::string blob = str();
+    ByteReader b(blob);
+    obj.restore_state(b);
   }
 
   std::size_t remaining() const { return bytes_.size() - pos_; }

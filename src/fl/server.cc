@@ -32,6 +32,12 @@ void Server::restore(std::vector<float> params, std::vector<float> velocity,
     throw std::invalid_argument(
         "Server::restore: parameter count mismatch (checkpoint from a "
         "different model?)");
+  // The optimizer and the quorum's previous-aggregate replay read these
+  // as dim-sized; empty means "no update yet".
+  for (const std::vector<float>* v : {&velocity, &last_aggregate})
+    if (!v->empty() && v->size() != params_.size())
+      throw std::invalid_argument(
+          "Server::restore: velocity / last aggregate size mismatch");
   params_ = std::move(params);
   optimizer_.set_velocity(std::move(velocity));
   last_aggregate_ = std::move(last_aggregate);

@@ -42,7 +42,9 @@ class Server {
 
   // Checkpoint restore: overwrite the full mutable server state (model
   // parameters, momentum velocity, previous aggregate) in one shot.
-  // Throws std::invalid_argument on a parameter-size mismatch.
+  // Throws std::invalid_argument on a parameter-size mismatch, or when
+  // the velocity or the previous aggregate is neither empty nor
+  // parameter-sized.
   void restore(std::vector<float> params, std::vector<float> velocity,
                std::vector<float> last_aggregate);
 

@@ -229,56 +229,58 @@ std::uint64_t fold_round(std::uint64_t state, const RoundTrace& t) {
   return state;
 }
 
-// RoundTrace round-trip for the sweep checkpoint's extra blob: a resumed
-// scenario must re-emit the already-traced rounds byte-identically, so
-// the captured traces ride inside the trainer checkpoint.
-void write_trace(common::ByteWriter& w, const RoundTrace& t) {
-  w.u64(t.round);
-  w.u64(t.aggregate_checksum);
-  w.u64(t.participants);
-  w.u64(t.byzantine);
-  w.u64(t.dropped);
-  w.u64(t.stragglers);
-  w.u64(t.selected);
-  w.u64(t.decode_rejects);
-  w.u64(t.shards);
-  w.u64(t.shard_survivor_sum);
-  w.u64(t.churned);
-  w.u64(t.deadline_misses);
-  w.u64(t.lost_uplinks);
-  w.u64(t.uplink_attempts);
-  w.f64(t.sim_round_ms);
-  w.u8(static_cast<std::uint8_t>(t.outcome));
-  w.u8(t.chaos ? 1 : 0);
-  w.u8(t.quorum ? 1 : 0);
-  w.u8(t.test_accuracy.has_value() ? 1 : 0);
-  if (t.test_accuracy) w.f64(*t.test_accuracy);
-  w.u8(t.skipped ? 1 : 0);
+// The sweep checkpoint's extra blob, one field list for save and load
+// (`io` is a common::ByteWriter or ByteReader): the observer's fold
+// state, its counters and the captured traces, so a resumed scenario
+// re-emits the already-traced rounds byte-identically.
+template <class IO>
+void trace_io(IO& io, RoundTrace& t) {
+  io.io(t.round);
+  io.io(t.aggregate_checksum);
+  io.io(t.participants);
+  io.io(t.byzantine);
+  io.io(t.dropped);
+  io.io(t.stragglers);
+  io.io(t.selected);
+  io.io(t.decode_rejects);
+  io.io(t.shards);
+  io.io(t.shard_survivor_sum);
+  io.io(t.churned);
+  io.io(t.deadline_misses);
+  io.io(t.lost_uplinks);
+  io.io(t.uplink_attempts);
+  io.io(t.sim_round_ms);
+  io.io(t.outcome);
+  io.io(t.chaos);
+  io.io(t.quorum);
+  io.io(t.test_accuracy);
+  io.io(t.skipped);
 }
 
-RoundTrace read_trace(common::ByteReader& r) {
-  RoundTrace t;
-  t.round = r.u64();
-  t.aggregate_checksum = r.u64();
-  t.participants = r.u64();
-  t.byzantine = r.u64();
-  t.dropped = r.u64();
-  t.stragglers = r.u64();
-  t.selected = r.u64();
-  t.decode_rejects = r.u64();
-  t.shards = r.u64();
-  t.shard_survivor_sum = r.u64();
-  t.churned = r.u64();
-  t.deadline_misses = r.u64();
-  t.lost_uplinks = r.u64();
-  t.uplink_attempts = r.u64();
-  t.sim_round_ms = r.f64();
-  t.outcome = static_cast<RoundOutcome>(r.u8());
-  t.chaos = r.u8() != 0;
-  t.quorum = r.u8() != 0;
-  if (r.u8() != 0) t.test_accuracy = r.f64();
-  t.skipped = r.u8() != 0;
-  return t;
+template <class IO>
+void extra_io(IO& io, ScenarioResult& r, std::uint64_t& fold,
+              std::optional<obs::MetricsRegistry>& reg) {
+  io.io(fold);
+  io.io(r.skipped_rounds);
+  io.io(r.dropped_total);
+  io.io(r.straggler_total);
+  io.io(r.rounds, [&io](RoundTrace& t) { trace_io(io, t); });
+  // The registry serializes the still-open round as a snapshot identical
+  // to the record end_round will push (nothing counts between a round's
+  // save and its end_round), so a kill+resume reconstructs
+  // bitwise-identical counter records.
+  bool counters = reg.has_value();
+  io.io(counters);
+  if (!counters) return;
+  if constexpr (IO::kLoading) {
+    // The checkpoint carries counter state; restore it, or drain it into
+    // a throwaway registry when this run has obs off (the blob must be
+    // consumed either way).
+    obs::MetricsRegistry scratch(false);
+    (reg ? *reg : scratch).restore(io);
+  } else {
+    reg->serialize(io);
+  }
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
@@ -344,35 +346,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
       // checkpoint's extra blob, so a resumed scenario replays its JSONL
       // byte-identically. &r / &fold outlive trainer.run below.
       cfg.checkpoint.save_extra = [&r, &fold, &reg](common::ByteWriter& w) {
-        w.u64(fold);
-        w.u64(r.skipped_rounds);
-        w.u64(r.dropped_total);
-        w.u64(r.straggler_total);
-        w.u64(r.rounds.size());
-        for (const RoundTrace& t : r.rounds) write_trace(w, t);
-        // The registry serializes the still-open round as a snapshot
-        // identical to the record end_round will push (nothing counts
-        // between a round's save and its end_round), so a kill+resume
-        // reconstructs bitwise-identical counter records.
-        w.u8(reg ? 1 : 0);
-        if (reg) reg->serialize(w);
+        extra_io(w, r, fold, reg);
       };
       cfg.checkpoint.load_extra = [&r, &fold, &reg](common::ByteReader& rd) {
-        fold = rd.u64();
-        r.skipped_rounds = rd.u64();
-        r.dropped_total = rd.u64();
-        r.straggler_total = rd.u64();
-        const std::uint64_t n_traces = rd.u64();
-        r.rounds.clear();
-        for (std::uint64_t i = 0; i < n_traces; ++i)
-          r.rounds.push_back(read_trace(rd));
-        if (rd.u8() != 0) {
-          // The checkpoint carries counter state; restore it, or drain
-          // it into a throwaway registry when this run has obs off (the
-          // blob must be consumed either way).
-          obs::MetricsRegistry scratch(false);
-          (reg ? *reg : scratch).restore(rd);
-        }
+        extra_io(rd, r, fold, reg);
       };
     }
     if (reg) cfg.metrics = &*reg;

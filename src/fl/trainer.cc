@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -55,31 +56,750 @@ Trainer::Trainer(const data::TrainTest& data, ModelFactory model_factory,
       std::round(cfg_.byzantine_frac * double(cfg_.n_clients)));
 }
 
-TrainingResult Trainer::run(attacks::Attack& attack,
-                            std::unique_ptr<agg::Aggregator> gar,
-                            const RoundObserver& observer) {
-  // Attach the (possibly null) counter registry to this thread for the
-  // whole run; pool helpers inherit it through common::task_context, so
-  // every obs::count below — trainer-level or deep inside a kernel —
-  // lands in the same per-round record regardless of SIGNGUARD_THREADS.
-  obs::ScopedMetrics obs_scope(cfg_.metrics);
-  Rng rng(cfg_.seed);
-  Rng attack_rng = rng.split();
-  Rng gar_rng = rng.split();
+namespace {
 
+// The checkpoint's configuration hash: FNV-1a over every setting that
+// shapes a run, each double by its exact bits, so configurations that
+// differ anywhere (not just in a printed decimal) never share a hash.
+std::uint64_t config_hash(const TrainerConfig& cfg, const std::string& gar,
+                          const std::string& attack) {
+  const FaultProfile& fp = cfg.chaos.profile;
+  common::ByteWriter w;
+  for (const std::uint64_t v : std::initializer_list<std::uint64_t>{
+           cfg.n_clients, cfg.rounds, cfg.batch_size, cfg.eval_every,
+           cfg.eval_max_samples, cfg.noniid,
+           std::uint64_t(cfg.compression.codec), cfg.compression.chunk,
+           fp.max_attempts, cfg.quorum.min_participants,
+           cfg.quorum.min_survivors, std::uint64_t(cfg.quorum.action),
+           cfg.seed})
+    w.u64(v);
+  for (const double v :
+       {cfg.byzantine_frac, cfg.lr, cfg.momentum, cfg.client_momentum,
+        cfg.weight_decay, cfg.noniid_s, cfg.participation, cfg.dropout_prob,
+        cfg.straggler_prob, cfg.compression.k_fraction, fp.latency_median_ms,
+        fp.latency_sigma, fp.p_drop, fp.p_truncate, fp.p_bitflip,
+        fp.backoff_ms, fp.backoff_mult, cfg.chaos.deadline_ms,
+        cfg.chaos.churn_leave_prob, cfg.chaos.churn_mean_absence})
+    w.f64(v);
+  w.u64(fp.tiers.size());
+  for (const DeviceTier& t : fp.tiers) {
+    w.f64(t.fraction);
+    w.f64(t.latency_mult);
+  }
+  w.str(fp.name);
+  w.str(gar);
+  w.str(attack);
+  return common::fnv1a64(w.bytes());
+}
+
+// An RNG cursor streams as its engine-state text.
+template <class IO>
+void io_rng(IO& io, Rng& rng) {
+  std::string state = rng.state();
+  io.io(state);
+  if constexpr (IO::kLoading) rng.set_state(state);
+}
+
+// The caller's checkpoint extra-blob hooks, streamed like a component.
+struct ExtraBlob {
+  const CheckpointConfig& cfg;
+  void serialize_state(common::ByteWriter& w) const {
+    if (cfg.save_extra) cfg.save_extra(w);
+  }
+  void restore_state(common::ByteReader& r) const {
+    if (cfg.load_extra) cfg.load_extra(r);
+  }
+};
+
+std::vector<Client> make_clients(const data::Dataset& train,
+                                 const TrainerConfig& cfg, Rng& rng) {
   // Partition the training data over the clients.
   data::ClientIndices shards =
-      cfg_.noniid
-          ? data::noniid_partition(data_.train, cfg_.n_clients, cfg_.noniid_s,
-                                   rng)
-          : data::iid_partition(data_.train.size(), cfg_.n_clients, rng);
-
+      cfg.noniid
+          ? data::noniid_partition(train, cfg.n_clients, cfg.noniid_s, rng)
+          : data::iid_partition(train.size(), cfg.n_clients, rng);
   std::vector<Client> clients;
-  clients.reserve(cfg_.n_clients);
-  for (std::size_t i = 0; i < cfg_.n_clients; ++i)
-    clients.emplace_back(&data_.train, std::move(shards[i]),
-                         rng.split().engine()());
+  clients.reserve(cfg.n_clients);
+  for (std::size_t i = 0; i < cfg.n_clients; ++i)
+    clients.emplace_back(&train, std::move(shards[i]), rng.split().engine()());
+  return clients;
+}
 
+// Where a sift sends one selected client: kept for the round, absent
+// (no local work at all), or late (trains, but its update never reaches
+// the aggregator).
+enum class Fate { kActive, kAbsent, kLate };
+
+// What one round accumulates stage by stage. The observation fills in
+// as the stages run; close_round completes it and derives the attacker's
+// feedback and the run totals from it.
+struct RoundState {
+  RoundObservation obs;
+  // Byzantine rows [0, m_round) lead the round's n_round rows.
+  std::size_t m_round = 0, n_round = 0;
+  std::size_t transmitters = 0;  // chaos: clients that sent at all
+  std::size_t sent = 0;          // rows that went through the wire
+  double slowest_ms = 0.0;       // chaos: slowest delivered uplink
+  bool uplink_missing = false;   // chaos: a late or lost uplink
+  const std::vector<float>* aggregate = nullptr;  // null: skipped
+};
+
+// One training run: the cross-round state (clients, server, the four
+// RNG streams, the result, the reused round buffers) and one member per
+// stage of a round, in order: select -> sift -> compute -> transport
+// benign -> craft -> transport Byzantine -> aggregate/degrade -> close.
+class Run {
+ public:
+  Run(const data::TrainTest& data, const ModelFactory& model_factory,
+      const TrainerConfig& cfg, std::size_t n_byz, attacks::Attack& attack,
+      std::unique_ptr<agg::Aggregator> gar, const RoundObserver& observer)
+      : cfg_(cfg),
+        data_(data),
+        model_factory_(model_factory),
+        attack_(attack),
+        observer_(observer),
+        m_(n_byz),
+        // worker_models_ is declared (so constructed) before server_.
+        server_(std::move(gar), ensure_models(1).parameters(), cfg.lr,
+                cfg.momentum) {
+    if (chaos_on_)
+      chaos_.emplace(cfg_.n_clients, cfg_.chaos,
+                     common::stream_seed(
+                         cfg_.seed, common::fnv1a64("signguard.chaos")));
+    if (transport_on_) {
+      codec_ = comm::make_codec(cfg_.compression);
+      uplink_.resize(cfg_.n_clients);
+      rejected_.reserve(cfg_.n_clients);
+      wire_bytes_ = comm::encoded_size(*codec_, dim_);
+    }
+  }
+
+  TrainingResult& result() { return result_; }
+
+  // ---- One synchronous round ----------------------------------------------
+  void round(std::size_t round) {
+    obs::Span round_span("round", std::int64_t(round));
+    rs_ = RoundState{};
+    rs_.obs.round = round;
+    attack_.begin_round(round, attack_rng_);
+    select();
+    sift();
+    compute();
+    // No honest gradient reaching the server — none participated, or the
+    // wire rejected every honest uplink — skips aggregation. Local
+    // training above still ran for every active / straggling client, so a
+    // client's state evolution depends only on its own fate, never on
+    // what happened to the others this round.
+    if (!benign_sel_.empty() && transport_benign()) {
+      craft();
+      transport_byzantine();
+      aggregate();
+    } else {
+      rs_.obs.outcome = RoundOutcome::kSkippedNoHonest;
+    }
+    close_round();
+  }
+
+  void save_checkpoint(std::size_t next_round) {
+    obs::StageScope stage(obs::Stage::kCheckpoint, "checkpoint/save",
+                          std::int64_t(next_round));
+    common::ByteWriter w;
+    checkpoint_io(w, next_round);
+    write_checkpoint_file(cfg_.checkpoint.path, w.bytes());
+  }
+
+  // Returns the round to resume from.
+  std::size_t load_checkpoint() {
+    const std::string payload = read_checkpoint_file(cfg_.checkpoint.path);
+    common::ByteReader r(payload);
+    return checkpoint_io(r, 0);
+  }
+
+ private:
+  // Participating clients this round (full set unless partial
+  // participation is configured). Byzantine clients are those among the
+  // sampled set with index < m.
+  void select() {
+    const std::size_t n = cfg_.n_clients;
+    byz_sel_.clear();
+    benign_sel_.clear();
+    if (cfg_.participation >= 1.0) {
+      for (std::size_t i = 0; i < m_; ++i) byz_sel_.push_back(i);
+      for (std::size_t i = m_; i < n; ++i) benign_sel_.push_back(i);
+    } else {
+      const std::size_t k = std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 std::round(cfg_.participation * double(n))));
+      participation_rng_.sample_without_replacement_into(n, k, sampled_);
+      for (const std::size_t i : sampled_)
+        (i < m_ ? byz_sel_ : benign_sel_).push_back(i);
+    }
+  }
+
+  void sift() {
+    benign_late_.clear();
+    // Legacy failure injection first, drawn sequentially from a dedicated
+    // stream so the outcome is a pure function of the seed.
+    if (cfg_.dropout_prob > 0.0 || cfg_.straggler_prob > 0.0)
+      partition(&Run::legacy_fate);
+    // Chaos sift, layered after the legacy coins: churned clients miss
+    // the round entirely; the survivors' uplinks are simulated (latency x
+    // retries vs deadline).
+    if (chaos_on_) {
+      obs::StageScope stage(obs::Stage::kUplink, "chaos/sift");
+      partition(&Run::chaos_fate);
+      obs::count(obs::Counter::kRetryAttempts, rs_.obs.uplink_attempts);
+    }
+  }
+
+  // The one partition loop behind both sifts: Byzantine clients first,
+  // then benign, each in selection order — the order the sift's stream
+  // draws in.
+  void partition(Fate (Run::*fate)(std::size_t)) {
+    for (std::vector<std::size_t>* sel : {&byz_sel_, &benign_sel_}) {
+      active_.clear();
+      for (const std::size_t i : *sel) {
+        const Fate f = (this->*fate)(i);
+        if (f == Fate::kActive) active_.push_back(i);
+        // A benign straggler still trains (into late_grads_); a Byzantine
+        // one's crafted update simply never arrives.
+        if (f == Fate::kLate && sel == &benign_sel_) benign_late_.push_back(i);
+      }
+      // swap (not move) so both buffers keep their capacity round over
+      // round.
+      std::swap(*sel, active_);
+    }
+  }
+
+  // The two coins are sequential (see trainer.h): dropout first,
+  // straggler only for survivors, so every selected client lands in
+  // exactly one state. A coin with probability zero is never flipped.
+  Fate legacy_fate(std::size_t) {
+    if (cfg_.dropout_prob > 0.0 &&
+        failure_rng_.bernoulli(cfg_.dropout_prob)) {
+      ++rs_.obs.dropped;
+      return Fate::kAbsent;
+    }
+    if (cfg_.straggler_prob > 0.0 &&
+        failure_rng_.bernoulli(cfg_.straggler_prob)) {
+      ++rs_.obs.stragglers;
+      return Fate::kLate;
+    }
+    return Fate::kActive;
+  }
+
+  // A late or lost uplink means the client DID train — its state advances
+  // exactly like a legacy straggler's — but no update reaches the
+  // aggregator. Corrupt arrivals stay active here; the wire decode
+  // rejects their mangled bytes.
+  Fate chaos_fate(std::size_t client) {
+    RoundObservation& o = rs_.obs;
+    if (!chaos_->client_up(client, o.round)) {
+      ++o.churned;
+      return Fate::kAbsent;
+    }
+    const UplinkSim sim = chaos_->simulate_uplink(client, o.round);
+    ++rs_.transmitters;
+    o.uplink_attempts += sim.attempts;
+    switch (sim.delivery) {
+      case UplinkSim::Delivery::kOnTime:
+      case UplinkSim::Delivery::kCorrupt:
+        // Only delivered uplinks extend the round: a synchronous server
+        // closes on what it received, so a lost chain's (or, with no
+        // deadline, a late chain's) elapsed time is not on the critical
+        // path.
+        rs_.slowest_ms = std::max(rs_.slowest_ms, sim.elapsed_ms);
+        return Fate::kActive;
+      case UplinkSim::Delivery::kLate:
+        ++o.deadline_misses;
+        ++o.stragglers;
+        break;
+      case UplinkSim::Delivery::kLost:
+        ++o.lost_uplinks;
+        break;
+    }
+    rs_.uplink_missing = true;
+    return Fate::kLate;
+  }
+
+  // Local training: every participating client writes its gradient
+  // straight into a matrix row, in parallel. Benign clients fill
+  // round_grads_ rows [m_round, n_round); Byzantine clients fill their
+  // honest-behaviour rows in byz_honest_; benign stragglers fill
+  // late_grads_. Only the workers that can receive a non-empty chunk need
+  // a synced scratch model — and inside an outer parallel region (the
+  // sweep engine) the nested loop runs inline on one worker, so a single
+  // model suffices.
+  void compute() {
+    rs_.m_round = byz_sel_.size();
+    rs_.n_round = rs_.m_round + benign_sel_.size();
+    const std::size_t m_round = rs_.m_round, n_round = rs_.n_round;
+    const std::size_t n_work = n_round + benign_late_.size();
+    const std::size_t active_models = std::min(
+        common::in_parallel_region() ? 1 : common::thread_count(), n_work);
+    ensure_models(active_models);
+    for (std::size_t w = 0; w < active_models; ++w)
+      worker_models_[w].set_parameters(server_.parameters());
+    round_grads_.resize(n_round, dim_);
+    byz_honest_.resize(m_round, dim_);
+    late_grads_.resize(benign_late_.size(), dim_);
+    obs::StageScope stage(obs::Stage::kClientCompute, nullptr,
+                          std::int64_t(n_work));
+    obs::count(obs::Counter::kDenseBytes, std::uint64_t(n_work) * dim_ * 4);
+    const bool flip = attack_.flips_labels();
+    common::parallel_chunks(
+        n_work, [this, flip, m_round, n_round](
+                    std::size_t begin, std::size_t end, std::size_t worker) {
+          nn::Model& wm = worker_models_[worker];
+          for (std::size_t t = begin; t < end; ++t) {
+            if (t < m_round) {
+              clients_[byz_sel_[t]].compute_gradient_into(
+                  byz_honest_.row(t), wm, cfg_.batch_size, cfg_.weight_decay,
+                  flip, cfg_.client_momentum);
+            } else if (t < n_round) {
+              clients_[benign_sel_[t - m_round]].compute_gradient_into(
+                  round_grads_.row(t), wm, cfg_.batch_size,
+                  cfg_.weight_decay,
+                  /*flip_labels=*/false, cfg_.client_momentum);
+            } else {
+              const std::size_t s = t - n_round;
+              clients_[benign_late_[s]].compute_gradient_into(
+                  late_grads_.row(s), wm, cfg_.batch_size, cfg_.weight_decay,
+                  /*flip_labels=*/false, cfg_.client_momentum);
+            }
+          }
+        });
+  }
+
+  // Benign uplinks go through the wire first: what the attacker gets to
+  // observe — and what the server aggregates — is the decoded
+  // (post-compression) view of every honest gradient. A benign uplink
+  // only fails to decode under the tamper hook or a chaos-corrupted
+  // arrival. Returns whether any honest uplink got through.
+  bool transport_benign() {
+    if (!transport_on_) return true;
+    rejected_.assign(rs_.n_round, 0);
+    transport_rows(rs_.m_round, rs_.n_round, /*decode_rows=*/true);
+    for (std::size_t t = rs_.m_round; t < rs_.n_round; ++t)
+      rs_.obs.decode_rejects += rejected_[t] != 0;
+    return rs_.obs.decode_rejects < rs_.n_round - rs_.m_round;
+  }
+
+  // The attacker observes the benign rows (and the honest Byzantine
+  // gradients) as borrowed views of the round buffers — no copies.
+  // Rejected uplinks never reached the server, so they are invisible to
+  // the (omniscient-but-server-side) attacker too.
+  void craft() {
+    const std::size_t m_round = rs_.m_round, n_round = rs_.n_round;
+    const std::size_t rejects = rs_.obs.decode_rejects;
+    benign_views_.clear();
+    benign_views_.reserve(n_round - m_round - rejects);
+    for (std::size_t t = m_round; t < n_round; ++t)
+      if (!transport_on_ || !rejected_[t])
+        benign_views_.push_back(round_grads_.row(t));
+    const std::vector<attacks::GradientView> byz_views =
+        byz_honest_.row_views();
+
+    attacks::AttackContext actx;
+    actx.benign_grads = benign_views_;
+    actx.byz_honest_grads = byz_views;
+    actx.n_total = n_round - rejects;
+    actx.n_byzantine = m_round;
+    actx.round = rs_.obs.round;
+    actx.rng = &attack_rng_;
+    obs::StageScope stage(obs::Stage::kOther, "attack/craft",
+                          std::int64_t(m_round));
+    const std::vector<std::vector<float>> malicious = attack_.craft(actx);
+    // Loud validation in every build type: a misbehaving user-defined
+    // attack must not turn into an out-of-bounds copy into the matrix.
+    if (malicious.size() != m_round)
+      throw std::invalid_argument(
+          "attack '" + attack_.name() + "' crafted " +
+          std::to_string(malicious.size()) + " gradients, expected " +
+          std::to_string(m_round));
+    for (std::size_t i = 0; i < m_round; ++i) {
+      if (malicious[i].size() != dim_)
+        throw std::invalid_argument(
+            "attack '" + attack_.name() + "' crafted gradient " +
+            std::to_string(i) + " with dimension " +
+            std::to_string(malicious[i].size()) + ", expected " +
+            std::to_string(dim_));
+      std::copy(malicious[i].begin(), malicious[i].end(),
+                round_grads_.row(i).begin());
+    }
+  }
+
+  // Byzantine uplinks take the same wire as everyone else's: the crafted
+  // update is what gets compressed, so defenses face the attack as the
+  // codec delivers it. A Byzantine client shipping bytes that do not
+  // decode is simply rejected — its slot never reaches the aggregator.
+  void transport_byzantine() {
+    RoundObservation& o = rs_.obs;
+    o.byzantine = rs_.m_round;
+    o.participants = rs_.n_round;
+    if (!transport_on_) return;
+    // On the wire path the crafted rows are validated, never decoded:
+    // their floats stay wire-side until (and unless) SignGuard admits
+    // them.
+    transport_rows(0, rs_.m_round, /*decode_rows=*/!wire_filtering_);
+    for (std::size_t t = 0; t < rs_.m_round; ++t)
+      o.decode_rejects += rejected_[t] != 0;
+    if (o.decode_rejects == 0) return;
+    // Compact the surviving rows into a prefix (Byzantine rows stay in
+    // front, order preserved) so the aggregator sees a dense matrix of
+    // exactly the updates that decoded — and their uplink buffers move
+    // with them, so buffer t keeps describing row t for the wire path.
+    std::size_t w = 0;
+    o.byzantine = 0;
+    for (std::size_t t = 0; t < rs_.n_round; ++t) {
+      if (rejected_[t]) continue;
+      if (t < rs_.m_round) ++o.byzantine;
+      if (w != t) {
+        const auto src = round_grads_.row(t);
+        std::copy(src.begin(), src.end(), round_grads_.row(w).begin());
+        std::swap(uplink_[w], uplink_[t]);
+      }
+      ++w;
+    }
+    o.participants = w;
+    round_grads_.resize(w, dim_);
+  }
+
+  // Encodes round_grads_ rows [begin_row, end_row) through the wire —
+  // encode, optional tamper, chaos transport corruption, then either
+  // decode back in place (decode_rows) or validate the buffer without
+  // touching the row (the wire path's Byzantine uplinks) — marking
+  // rejects either way. validate() accepts exactly the buffers
+  // decode_into accepts, so the reject set is backend-independent. Rows
+  // are independent, and the chaos draws are stateless in (client,
+  // round), so the fan-out is bitwise thread-invariant.
+  void transport_rows(std::size_t begin_row, std::size_t end_row,
+                      bool decode_rows) {
+    // The fan-out interleaves encode and decode per row, so wall-clock is
+    // billed to the uplink stage as a whole; the work counters use
+    // explicit stages so the per-stage volumes stay separable.
+    const std::uint64_t n_rows = end_row - begin_row;
+    obs::StageScope stage(obs::Stage::kUplink, "transport",
+                          std::int64_t(n_rows));
+    rs_.sent += n_rows;
+    obs::count(obs::Stage::kEncode, obs::Counter::kRowsEncoded, n_rows);
+    if (decode_rows) {
+      obs::count(obs::Stage::kDecode, obs::Counter::kRowsDecoded, n_rows);
+      obs::count(obs::Stage::kDecode, obs::Counter::kDenseBytes,
+                 n_rows * dim_ * 4);
+    }
+    if (enc_scratch_.size() < common::thread_count())
+      enc_scratch_.resize(common::thread_count());
+    common::parallel_chunks(
+        n_rows, [this, begin_row, decode_rows](std::size_t b, std::size_t e,
+                                               std::size_t worker) {
+          for (std::size_t t = begin_row + b; t < begin_row + e; ++t) {
+            // The row's global client id, for the hook and the chaos
+            // stream.
+            const std::size_t client = t < rs_.m_round
+                                           ? byz_sel_[t]
+                                           : benign_sel_[t - rs_.m_round];
+            auto& buf = uplink_[t];
+            comm::encode_into(*codec_, round_grads_.row(t), buf,
+                              enc_scratch_[worker]);
+            if (cfg_.uplink_tamper) cfg_.uplink_tamper(client, buf);
+            if (chaos_transport_) {
+              // Re-derive this uplink's fate from its stateless stream (a
+              // pure function of (client, round) — see fl/chaos.h) and
+              // mangle the bytes of a corrupt arrival. The wire layer's
+              // checksum/framing then rejects it like any hostile buffer.
+              const UplinkSim sim =
+                  chaos_->simulate_uplink(client, rs_.obs.round);
+              if (sim.delivery == UplinkSim::Delivery::kCorrupt &&
+                  !buf.empty()) {
+                if (sim.corrupt == UplinkSim::Corrupt::kTruncate)
+                  buf.resize(sim.corrupt_pos % buf.size());
+                else
+                  buf[(sim.corrupt_pos / 8) % buf.size()] ^=
+                      std::uint8_t(1) << (sim.corrupt_pos % 8);
+              }
+            }
+            const comm::DecodeStatus st =
+                decode_rows
+                    ? comm::decode_into(*codec_, buf, round_grads_.row(t))
+                    : comm::validate(*codec_, buf, dim_);
+            if (st != comm::DecodeStatus::kOk) rejected_[t] = 1;
+          }
+        });
+  }
+
+  void aggregate() {
+    RoundObservation& o = rs_.obs;
+    agg::GarContext gctx;
+    gctx.assumed_byzantine = o.byzantine;
+    gctx.round = o.round;
+    gctx.rng = &gar_rng_;
+    obs::StageScope stage(obs::Stage::kAggregate, nullptr,
+                          std::int64_t(o.participants));
+    // Dense bytes the aggregation pipeline materialized from accepted
+    // uplinks: all of them on the decode path, only the trusted set's on
+    // the wire path.
+    if (transport_on_)
+      o.uplink_decoded_bytes = std::uint64_t(o.participants) * dim_ * 4;
+    if (quorum_on_) {
+      rs_.aggregate = quorum_aggregate(gctx);
+    } else if (wire_filtering_) {
+      comm::WireRound wr;
+      wr.codec = codec_.get();
+      wr.uplinks = std::span<const std::vector<std::uint8_t>>(
+          uplink_.data(), o.participants);
+      wr.d = dim_;
+      rs_.aggregate = &server_.apply_aggregate(sg_->aggregate_wire(wr, gctx));
+      o.uplink_decoded_bytes = sg_->last_decoded_bytes();
+    } else {
+      rs_.aggregate = &server_.step(round_grads_, gctx);
+    }
+  }
+
+  // Quorum-policed aggregation (fl/chaos.h): same GAR + optimizer
+  // sequence as Server::step, but the aggregate is only applied after the
+  // pre- and post-filter quorums pass; otherwise the round degrades down
+  // the policy's fallback chain.
+  const std::vector<float>* quorum_aggregate(const agg::GarContext& gctx) {
+    std::optional<std::vector<float>> agg;
+    if (rs_.obs.participants >= cfg_.quorum.min_participants) {
+      try {
+        agg = server_.gar().aggregate(round_grads_, gctx);
+      } catch (const std::exception&) {
+        // A starved rule (e.g. Bulyan's n >= 4m+3) degrades instead of
+        // aborting the run.
+      }
+      if (agg && cfg_.quorum.min_survivors > 0 &&
+          server_.gar().reports_selection() &&
+          server_.gar().last_selected().size() < cfg_.quorum.min_survivors)
+        agg.reset();
+    }
+    if (agg) return &server_.apply_aggregate(std::move(*agg));
+    return degrade();
+  }
+
+  const std::vector<float>* degrade() {
+    DegradeAction act = cfg_.quorum.action;
+    if (act == DegradeAction::kClippedMean) {
+      // Norm-clipped mean over the finite-norm accepted rows, with their
+      // median norm as the bound — SignGuard's own aggregation step minus
+      // its filters. Falls through when nothing finite arrived.
+      const std::vector<double> norms = vec::row_norms(round_grads_);
+      std::vector<std::size_t> finite;
+      std::vector<double> fnorms;
+      for (std::size_t i = 0; i < rs_.obs.participants; ++i)
+        if (std::isfinite(norms[i])) {
+          finite.push_back(i);
+          fnorms.push_back(norms[i]);
+        }
+      if (!finite.empty()) {
+        std::sort(fnorms.begin(), fnorms.end());
+        const std::size_t mid = fnorms.size() / 2;
+        const double median = fnorms.size() % 2 == 1
+                                  ? fnorms[mid]
+                                  : 0.5 * (fnorms[mid - 1] + fnorms[mid]);
+        rs_.obs.outcome = RoundOutcome::kFallbackClippedMean;
+        return &server_.apply_aggregate(core::clipped_mean(
+            round_grads_, finite, median, /*clip=*/true, norms));
+      }
+      act = DegradeAction::kPrevAggregate;
+    }
+    if (act == DegradeAction::kPrevAggregate &&
+        !server_.last_aggregate().empty()) {
+      // Replay the previous round's aggregate (copy first:
+      // apply_aggregate overwrites the buffer being read).
+      std::vector<float> prev = server_.last_aggregate();
+      rs_.obs.outcome = RoundOutcome::kFallbackPrevAggregate;
+      return &server_.apply_aggregate(std::move(prev));
+    }
+    rs_.obs.outcome = RoundOutcome::kSkippedQuorum;
+    return nullptr;
+  }
+
+  // The round's one exit, whatever happened: completes the observation,
+  // then the run totals, the counters, the periodic evaluation and the
+  // attacker's feedback all come from it.
+  void close_round() {
+    RoundObservation& o = rs_.obs;
+    o.attack_name = attack_.name();
+    // Selection accounting (only meaningful for selecting rules, and only
+    // on rounds where the rule's aggregate was actually applied).
+    const bool proceeded = o.outcome == RoundOutcome::kProceed;
+    std::vector<std::size_t> selected;
+    if (proceeded) {
+      selected = server_.gar().last_selected();
+      if (!selected.empty())
+        result_.selection.accumulate(selected, o.byzantine, o.participants);
+      if (const auto* sharded =
+              dynamic_cast<const agg::ShardedAggregator*>(&server_.gar())) {
+        o.shards = sharded->last_shards();
+        o.shard_survivors = sharded->last_shard_survivors();
+      }
+    }
+    o.selected = selected;
+    o.skipped = rs_.aggregate == nullptr;
+    if (!o.skipped) o.aggregate = *rs_.aggregate;
+    result_.skipped_rounds += o.skipped;
+    result_.fallback_cmean_rounds +=
+        o.outcome == RoundOutcome::kFallbackClippedMean;
+    result_.fallback_prev_rounds +=
+        o.outcome == RoundOutcome::kFallbackPrevAggregate;
+    // Simulated round wall-clock: the server closes the round at the
+    // deadline when anyone is still missing, else at the slowest arrival.
+    // Zero, like every chaos count, while the chaos engine is off.
+    o.sim_round_ms = (cfg_.chaos.deadline_ms > 0.0 && rs_.uplink_missing)
+                         ? cfg_.chaos.deadline_ms
+                         : rs_.slowest_ms;
+    result_.churned_total += o.churned;
+    result_.deadline_miss_total += o.deadline_misses;
+    result_.lost_uplink_total += o.lost_uplinks;
+    result_.uplink_attempts += o.uplink_attempts;
+    result_.sim_time_ms += o.sim_round_ms;
+    if (transport_on_) {
+      // Under chaos transport every post-churn client transmitted
+      // (retries included), whether or not its update was ultimately
+      // usable, so the bill is attempts-based on every exit. Otherwise it
+      // covers the rows that went through the wire: none when no honest
+      // client took part, only the benign ones when the wire rejected
+      // them all.
+      o.uplink_bytes =
+          (chaos_transport_ ? o.uplink_attempts : rs_.sent) * wire_bytes_;
+      o.uplink_dense_bytes =
+          std::uint64_t(chaos_transport_ ? rs_.transmitters : rs_.sent) *
+          dim_ * 4;
+      result_.uplink_bytes += o.uplink_bytes;
+      result_.uplink_dense_bytes += o.uplink_dense_bytes;
+      result_.decode_rejects += o.decode_rejects;
+      result_.uplink_decoded_bytes += o.uplink_decoded_bytes;
+      obs::count(obs::Stage::kUplink, obs::Counter::kWireBytes,
+                 o.uplink_bytes);
+      obs::count(obs::Stage::kUplink, obs::Counter::kDenseBytes,
+                 o.uplink_dense_bytes);
+      obs::count(obs::Stage::kDecode, obs::Counter::kDecodeRejects,
+                 o.decode_rejects);
+    }
+    // Periodic evaluation (always evaluate the final round).
+    if (!o.skipped &&
+        ((o.round + 1) % cfg_.eval_every == 0 || o.round + 1 == cfg_.rounds)) {
+      obs::StageScope stage(obs::Stage::kEval);
+      nn::Model& model = worker_models_.front();
+      model.set_parameters(server_.parameters());
+      const double acc =
+          evaluate_accuracy(model, data_.test, 256, cfg_.eval_max_samples);
+      result_.history.push_back({o.round, acc});
+      result_.best_accuracy = std::max(result_.best_accuracy, acc);
+      result_.final_accuracy = acc;
+      o.test_accuracy = acc;
+    }
+    // Close the adversary's feedback loop (attack.h RoundFeedback): what
+    // the colluding clients could observe this round, skips included — an
+    // adaptive attacker (attacks/adaptive.h) learns from silence too.
+    // Runs before the round-boundary checkpoint, so adaptive search state
+    // is crash-consistent; the aggregate span borrows the server buffer
+    // and is only valid for the call.
+    attacks::RoundFeedback fb;
+    fb.round = o.round;
+    fb.participants = o.participants;
+    fb.byzantine = o.byzantine;
+    fb.has_selection = proceeded && server_.gar().reports_selection();
+    fb.selected = selected.size();
+    for (const std::size_t id : selected)
+      fb.selected_byzantine += id < o.byzantine ? 1 : 0;
+    fb.decode_rejects = o.decode_rejects;
+    fb.skipped = o.skipped;
+    fb.degraded = !proceeded;
+    fb.aggregate = o.aggregate;
+    attack_.observe_round(fb);
+    if (observer_) observer_(o);
+  }
+
+  // Grows the scratch-model pool to `count` (see worker_models_) and
+  // returns its first model, the one evaluation runs on.
+  nn::Model& ensure_models(std::size_t count) {
+    while (worker_models_.size() < count)
+      worker_models_.push_back(model_factory_(cfg_.seed));
+    return worker_models_.front();
+  }
+
+  // ---- Crash-consistent checkpointing (fl/checkpoint.h) -------------------
+  // The payload's one field list: `io` is a ByteWriter on save and a
+  // ByteReader on load (common/serial.h). It carries every piece of
+  // mutable cross-round state. The chaos engine carries no cursor — its
+  // draws are stateless in (seed, client, round).
+  template <class IO>
+  std::size_t checkpoint_io(IO& io, std::size_t next_round) {
+    std::uint64_t hash = config_hash_;
+    io.io(hash);
+    if (hash != config_hash_)
+      throw std::runtime_error(
+          "checkpoint: configuration hash mismatch — the file was written "
+          "by a differently-configured run (" + cfg_.checkpoint.path + ")");
+    io.io(next_round);
+    // Staged through copies: Server::restore checks the three together.
+    std::vector<float> params(server_.parameters().begin(),
+                              server_.parameters().end());
+    std::vector<float> velocity = server_.optimizer().velocity();
+    std::vector<float> last_aggregate = server_.last_aggregate();
+    io.io(params);
+    io.io(velocity);
+    io.io(last_aggregate);
+    if constexpr (IO::kLoading)
+      server_.restore(std::move(params), std::move(velocity),
+                      std::move(last_aggregate));
+    for (Rng* rng :
+         {&attack_rng_, &gar_rng_, &participation_rng_, &failure_rng_})
+      io_rng(io, *rng);
+    std::uint64_t n_clients = clients_.size();
+    io.io(n_clients);
+    if (n_clients != clients_.size())
+      throw std::runtime_error("checkpoint: client count mismatch");
+    for (Client& c : clients_) io.state(c);
+    TrainingResult& r = result_;
+    io.io(r.history, [&io](RoundRecord& rec) {
+      io.io(rec.round);
+      io.io(rec.test_accuracy);
+    });
+    io.io(r.best_accuracy);
+    io.io(r.final_accuracy);
+    io.io(r.selection.honest_rate);
+    io.io(r.selection.malicious_rate);
+    io.io(r.selection.rounds);
+    io.io(r.uplink_bytes);
+    io.io(r.uplink_dense_bytes);
+    io.io(r.decode_rejects);
+    io.io(r.uplink_decoded_bytes);
+    io.io(r.skipped_rounds);
+    io.io(r.fallback_cmean_rounds);
+    io.io(r.fallback_prev_rounds);
+    io.io(r.churned_total);
+    io.io(r.deadline_miss_total);
+    io.io(r.lost_uplink_total);
+    io.io(r.uplink_attempts);
+    io.io(r.sim_time_ms);
+    io.nested(server_.gar());
+    io.nested(attack_);
+    // Checkpoint bytes = the core payload, measured before the extra blob
+    // is appended: the registry itself may serialize into that blob, and
+    // counting its own output would make the count depend on it.
+    if constexpr (!IO::kLoading)
+      obs::count(obs::Counter::kCheckpointBytes, io.bytes().size());
+    ExtraBlob extra{cfg_.checkpoint};
+    io.nested(extra);
+    return next_round;
+  }
+
+  const TrainerConfig& cfg_;
+  const data::TrainTest& data_;
+  const ModelFactory& model_factory_;
+  attacks::Attack& attack_;
+  const RoundObserver& observer_;
+  const std::size_t m_;
+  // The root stream seeds everything below in declaration order, so the
+  // order of these members is part of every seeded result.
+  Rng rng_{cfg_.seed};
+  Rng attack_rng_ = rng_.split();
+  Rng gar_rng_ = rng_.split();
+  std::vector<Client> clients_ = make_clients(data_.train, cfg_, rng_);
   // Scratch models for the parallel client loop: every client evaluates
   // the same global parameters each round, and client-level local
   // training fans out over the thread pool (clients are independent —
@@ -88,69 +808,34 @@ TrainingResult Trainer::run(attacks::Attack& attack,
   // on demand to min(pool size, participants), re-checked per round in
   // case the pool is resized mid-run. A deque keeps references to
   // existing models stable across growth.
-  std::deque<nn::Model> worker_models;
-  auto ensure_models = [&](std::size_t count) {
-    while (worker_models.size() < count)
-      worker_models.push_back(model_factory_(cfg_.seed));
-  };
-  ensure_models(1);
-  nn::Model& model = worker_models.front();
-  const std::size_t dim = model.parameter_count();
-  Server server(std::move(gar), model.parameters(), cfg_.lr, cfg_.momentum);
-
-  const std::size_t n = cfg_.n_clients;
-  const std::size_t m = n_byz_;
-  Rng participation_rng = rng.split();
-  Rng failure_rng = rng.split();
+  std::deque<nn::Model> worker_models_;
+  Server server_;
+  const std::size_t dim_ = server_.parameters().size();
+  Rng participation_rng_ = rng_.split();
+  Rng failure_rng_ = rng_.split();
 
   // Chaos engine (fl/chaos.h): seeded from its own keyed stream under the
-  // config seed — never from `rng` — so enabling it leaves every draw
+  // config seed — never from rng_ — so enabling it leaves every draw
   // above (and the legacy failure stream) untouched. Its transport faults
   // need wire buffers, so a non-none profile forces the transport on.
-  const bool chaos_on = cfg_.chaos.active();
-  const bool chaos_transport = chaos_on && !cfg_.chaos.profile.none();
-  std::optional<ChaosEngine> chaos;
-  if (chaos_on)
-    chaos.emplace(n, cfg_.chaos,
-                  common::stream_seed(
-                      cfg_.seed, common::fnv1a64("signguard.chaos")));
-  const bool quorum_on = cfg_.quorum.active();
-
-  TrainingResult result;
-  // Round buffers, allocated once and reused: the m_round Byzantine rows
-  // lead (so selection accounting can attribute them), benign rows
-  // follow. byz_honest holds what the Byzantine clients would honestly
-  // send — the attack's raw material. late_grads receives straggler
-  // gradients: computed (the client's state advances) but discarded
-  // before aggregation.
-  common::GradientMatrix round_grads;
-  common::GradientMatrix byz_honest;
-  common::GradientMatrix late_grads;
-  // Selection / view scratch, reused round to round (the per-batch NN
-  // path below is allocation-free via the per-worker model workspaces).
-  std::vector<std::size_t> byz_sel, benign_sel, benign_late, sampled, active;
-  std::vector<attacks::GradientView> benign_views;
-
+  const bool chaos_on_ = cfg_.chaos.active();
+  const bool chaos_transport_ = chaos_on_ && !cfg_.chaos.profile.none();
+  std::optional<ChaosEngine> chaos_;
+  const bool quorum_on_ = cfg_.quorum.active();
   // Uplink transport (src/comm): active when a codec is configured, a
   // tamper hook wants to exercise the wire path, or the chaos engine
   // injects transport faults. Every participating row is encoded into
   // its per-client buffer and decoded back into the same GradientMatrix
   // row — the server-side view of the round. All buffers and scratch are
   // allocated once and reused.
-  const bool transport_on =
+  const bool transport_on_ =
       cfg_.compression.codec != comm::CodecKind::kNone ||
-      static_cast<bool>(cfg_.uplink_tamper) || chaos_transport;
-  std::unique_ptr<comm::Codec> codec;
-  std::vector<std::vector<std::uint8_t>> uplink;          // per round row
-  std::vector<std::vector<comm::CodecScratch>> enc_scratch;  // per worker
-  std::vector<char> rejected;
-  std::uint64_t wire_bytes = 0;  // encoded_size(codec, dim), 0 when off
-  if (transport_on) {
-    codec = comm::make_codec(cfg_.compression);
-    uplink.resize(n);
-    rejected.reserve(n);
-    wire_bytes = comm::encoded_size(*codec, dim);
-  }
+      static_cast<bool>(cfg_.uplink_tamper) || chaos_transport_;
+  std::unique_ptr<comm::Codec> codec_;
+  std::vector<std::vector<std::uint8_t>> uplink_;          // per round row
+  std::vector<std::vector<comm::CodecScratch>> enc_scratch_;  // per worker
+  std::vector<char> rejected_;
+  std::uint64_t wire_bytes_ = 0;  // encoded_size(codec, dim), 0 when off
   // Compressed-domain SignGuard (SIGNGUARD_WIREPATH=wire, the default):
   // when the GAR is a plain SignGuard and a real codec is active, the
   // server never decodes the Byzantine uplinks up front — it validates
@@ -163,788 +848,48 @@ TrainingResult Trainer::run(attacks::Attack& attack,
   // the two backends; only the decoded-bytes accounting differs.
   // An active QuorumPolicy pins the decode backend: its clipped-mean
   // fallback needs every accepted row materialized.
-  auto* const sg = dynamic_cast<core::SignGuard*>(&server.gar());
-  const bool wire_filtering =
-      transport_on && cfg_.compression.codec != comm::CodecKind::kNone &&
-      sg != nullptr && sg->supports_wire_path() &&
-      comm::wire_path() == comm::WirePath::kWire && !quorum_on;
-  // Encodes round_grads rows [begin_row, end_row) through the wire —
-  // encode, optional tamper, chaos transport corruption, then either
-  // decode back in place (decode_rows) or validate the buffer without
-  // touching the row (the wire path's Byzantine uplinks) — marking
-  // rejects either way. validate() accepts exactly the buffers
-  // decode_into accepts, so the reject set is backend-independent.
-  // client_of maps a row to its global client id (for the hook and the
-  // chaos stream). Rows are independent, and the chaos draws are
-  // stateless in (client, round), so the fan-out is bitwise
-  // thread-invariant.
-  const std::size_t round_sentinel = std::size_t(-1);
-  std::size_t current_round = round_sentinel;
-  const auto transport_rows = [&](std::size_t begin_row, std::size_t end_row,
-                                  bool decode_rows, auto client_of) {
-    // The fan-out interleaves encode and decode per row, so wall-clock is
-    // billed to the uplink stage as a whole; the work counters use
-    // explicit stages so the per-stage volumes stay separable.
-    obs::StageScope stage(obs::Stage::kUplink, "transport",
-                          std::int64_t(end_row - begin_row));
-    const std::uint64_t n_rows = end_row - begin_row;
-    obs::count(obs::Stage::kEncode, obs::Counter::kRowsEncoded, n_rows);
-    if (decode_rows) {
-      obs::count(obs::Stage::kDecode, obs::Counter::kRowsDecoded, n_rows);
-      obs::count(obs::Stage::kDecode, obs::Counter::kDenseBytes,
-                 n_rows * dim * 4);
-    }
-    if (enc_scratch.size() < common::thread_count())
-      enc_scratch.resize(common::thread_count());
-    common::parallel_chunks(
-        end_row - begin_row,
-        [&](std::size_t b, std::size_t e, std::size_t worker) {
-          for (std::size_t t = begin_row + b; t < begin_row + e; ++t) {
-            auto& buf = uplink[t];
-            comm::encode_into(*codec, round_grads.row(t), buf,
-                              enc_scratch[worker]);
-            if (cfg_.uplink_tamper) cfg_.uplink_tamper(client_of(t), buf);
-            if (chaos_transport) {
-              // Re-derive this uplink's fate from its stateless stream (a
-              // pure function of (client, round) — see fl/chaos.h) and
-              // mangle the bytes of a corrupt arrival. The wire layer's
-              // checksum/framing then rejects it like any hostile buffer.
-              const UplinkSim sim =
-                  chaos->simulate_uplink(client_of(t), current_round);
-              if (sim.delivery == UplinkSim::Delivery::kCorrupt &&
-                  !buf.empty()) {
-                if (sim.corrupt == UplinkSim::Corrupt::kTruncate)
-                  buf.resize(sim.corrupt_pos % buf.size());
-                else
-                  buf[(sim.corrupt_pos / 8) % buf.size()] ^=
-                      std::uint8_t(1) << (sim.corrupt_pos % 8);
-              }
-            }
-            const comm::DecodeStatus st =
-                decode_rows ? comm::decode_into(*codec, buf,
-                                                round_grads.row(t))
-                            : comm::validate(*codec, buf, dim);
-            if (st != comm::DecodeStatus::kOk) rejected[t] = 1;
-          }
-        });
-  };
+  core::SignGuard* const sg_ = dynamic_cast<core::SignGuard*>(&server_.gar());
+  const bool wire_filtering_ =
+      transport_on_ && cfg_.compression.codec != comm::CodecKind::kNone &&
+      sg_ != nullptr && sg_->supports_wire_path() &&
+      comm::wire_path() == comm::WirePath::kWire && !quorum_on_;
+  // Refuses a checkpoint written under a different configuration
+  // (resuming it would silently diverge).
+  const std::uint64_t config_hash_ =
+      config_hash(cfg_, server_.gar().name(), attack_.name());
 
-  // ---- Crash-consistent checkpointing (fl/checkpoint.h) -------------------
-  // The payload carries every piece of mutable cross-round state; the
-  // config hash up front refuses a checkpoint written under a different
-  // configuration (resuming it would silently diverge). The chaos engine
-  // carries no cursor — its draws are stateless in (seed, client, round).
-  const bool ckpt_on = cfg_.checkpoint.active();
-  const std::uint64_t config_hash = [&] {
-    std::string s;
-    const auto add = [&s](const std::string& v) {
-      s += v;
-      s += '|';
-    };
-    add(std::to_string(cfg_.n_clients));
-    add(std::to_string(cfg_.byzantine_frac));
-    add(std::to_string(cfg_.rounds));
-    add(std::to_string(cfg_.batch_size));
-    add(std::to_string(cfg_.lr));
-    add(std::to_string(cfg_.momentum));
-    add(std::to_string(cfg_.client_momentum));
-    add(std::to_string(cfg_.weight_decay));
-    add(std::to_string(cfg_.eval_every));
-    add(std::to_string(cfg_.eval_max_samples));
-    add(std::to_string(cfg_.noniid));
-    add(std::to_string(cfg_.noniid_s));
-    add(std::to_string(cfg_.participation));
-    add(std::to_string(cfg_.dropout_prob));
-    add(std::to_string(cfg_.straggler_prob));
-    add(std::to_string(int(cfg_.compression.codec)));
-    add(std::to_string(cfg_.compression.chunk));
-    add(std::to_string(cfg_.compression.k_fraction));
-    add(cfg_.chaos.profile.name);
-    add(std::to_string(cfg_.chaos.deadline_ms));
-    add(std::to_string(cfg_.chaos.churn_leave_prob));
-    add(std::to_string(cfg_.chaos.churn_mean_absence));
-    add(std::to_string(cfg_.quorum.min_participants));
-    add(std::to_string(cfg_.quorum.min_survivors));
-    add(to_string(cfg_.quorum.action));
-    add(server.gar().name());
-    add(attack.name());
-    add(std::to_string(cfg_.seed));
-    return common::fnv1a64(s);
-  }();
+  // Round buffers, allocated once and reused: the m_round Byzantine rows
+  // lead (so selection accounting can attribute them), benign rows
+  // follow. byz_honest_ holds what the Byzantine clients would honestly
+  // send — the attack's raw material. late_grads_ receives straggler
+  // gradients: computed (the client's state advances) but discarded
+  // before aggregation.
+  common::GradientMatrix round_grads_, byz_honest_, late_grads_;
+  // Selection / view scratch, reused round to round (the per-batch NN
+  // path is allocation-free via the per-worker model workspaces).
+  std::vector<std::size_t> byz_sel_, benign_sel_, benign_late_, sampled_,
+      active_;
+  std::vector<attacks::GradientView> benign_views_;
+  TrainingResult result_;
+  RoundState rs_;
+};
 
-  const auto save_checkpoint = [&](std::size_t next_round) {
-    obs::StageScope stage(obs::Stage::kCheckpoint, "checkpoint/save",
-                          std::int64_t(next_round));
-    common::ByteWriter w;
-    w.u64(config_hash);
-    w.u64(next_round);
-    w.floats(server.parameters());
-    w.floats(server.optimizer().velocity());
-    w.floats(server.last_aggregate());
-    w.str(attack_rng.state());
-    w.str(gar_rng.state());
-    w.str(participation_rng.state());
-    w.str(failure_rng.state());
-    w.u64(clients.size());
-    for (const Client& c : clients) c.serialize_state(w);
-    w.u64(result.history.size());
-    for (const RoundRecord& rec : result.history) {
-      w.u64(rec.round);
-      w.f64(rec.test_accuracy);
-    }
-    w.f64(result.best_accuracy);
-    w.f64(result.final_accuracy);
-    w.f64(result.selection.honest_rate);
-    w.f64(result.selection.malicious_rate);
-    w.u64(result.selection.rounds);
-    w.u64(result.uplink_bytes);
-    w.u64(result.uplink_dense_bytes);
-    w.u64(result.decode_rejects);
-    w.u64(result.uplink_decoded_bytes);
-    w.u64(result.skipped_rounds);
-    w.u64(result.fallback_cmean_rounds);
-    w.u64(result.fallback_prev_rounds);
-    w.u64(result.churned_total);
-    w.u64(result.deadline_miss_total);
-    w.u64(result.lost_uplink_total);
-    w.u64(result.uplink_attempts);
-    w.f64(result.sim_time_ms);
-    {
-      common::ByteWriter b;
-      server.gar().serialize_state(b);
-      w.str(b.bytes());
-    }
-    {
-      common::ByteWriter b;
-      attack.serialize_state(b);
-      w.str(b.bytes());
-    }
-    // Checkpoint bytes = the core payload, measured before the extra blob
-    // is appended: the registry itself may serialize into that blob, and
-    // counting its own output would make the count depend on it.
-    obs::count(obs::Counter::kCheckpointBytes, w.bytes().size());
-    {
-      common::ByteWriter b;
-      if (cfg_.checkpoint.save_extra) cfg_.checkpoint.save_extra(b);
-      w.str(b.bytes());
-    }
-    write_checkpoint_file(cfg_.checkpoint.path, w.bytes());
-  };
+}  // namespace
 
-  const auto load_checkpoint = [&]() -> std::size_t {
-    const std::string payload = read_checkpoint_file(cfg_.checkpoint.path);
-    common::ByteReader r(payload);
-    if (r.u64() != config_hash)
-      throw std::runtime_error(
-          "checkpoint: configuration hash mismatch — the file was written "
-          "by a differently-configured run (" + cfg_.checkpoint.path + ")");
-    const std::size_t next_round = r.u64();
-    std::vector<float> params = r.floats();
-    std::vector<float> velocity = r.floats();
-    std::vector<float> last_agg = r.floats();
-    server.restore(std::move(params), std::move(velocity),
-                   std::move(last_agg));
-    attack_rng.set_state(r.str());
-    gar_rng.set_state(r.str());
-    participation_rng.set_state(r.str());
-    failure_rng.set_state(r.str());
-    if (r.u64() != clients.size())
-      throw std::runtime_error("checkpoint: client count mismatch");
-    for (Client& c : clients) c.restore_state(r);
-    result.history.resize(r.u64());
-    for (RoundRecord& rec : result.history) {
-      rec.round = r.u64();
-      rec.test_accuracy = r.f64();
-    }
-    result.best_accuracy = r.f64();
-    result.final_accuracy = r.f64();
-    result.selection.honest_rate = r.f64();
-    result.selection.malicious_rate = r.f64();
-    result.selection.rounds = r.u64();
-    result.uplink_bytes = r.u64();
-    result.uplink_dense_bytes = r.u64();
-    result.decode_rejects = r.u64();
-    result.uplink_decoded_bytes = r.u64();
-    result.skipped_rounds = r.u64();
-    result.fallback_cmean_rounds = r.u64();
-    result.fallback_prev_rounds = r.u64();
-    result.churned_total = r.u64();
-    result.deadline_miss_total = r.u64();
-    result.lost_uplink_total = r.u64();
-    result.uplink_attempts = r.u64();
-    result.sim_time_ms = r.f64();
-    {
-      const std::string blob = r.str();
-      common::ByteReader b(blob);
-      server.gar().restore_state(b);
-    }
-    {
-      const std::string blob = r.str();
-      common::ByteReader b(blob);
-      attack.restore_state(b);
-    }
-    {
-      const std::string blob = r.str();
-      common::ByteReader b(blob);
-      if (cfg_.checkpoint.load_extra) cfg_.checkpoint.load_extra(b);
-    }
-    return next_round;
-  };
-
+TrainingResult Trainer::run(attacks::Attack& attack,
+                            std::unique_ptr<agg::Aggregator> gar,
+                            const RoundObserver& observer) {
+  // Attach the (possibly null) counter registry to this thread for the
+  // whole run; pool helpers inherit it through common::task_context, so
+  // every obs::count — trainer-level or deep inside a kernel — lands in
+  // the same per-round record regardless of SIGNGUARD_THREADS.
+  obs::ScopedMetrics obs_scope(cfg_.metrics);
+  Run run(data_, model_factory_, cfg_, n_byz_, attack, std::move(gar),
+          observer);
+  const CheckpointConfig& ckpt = cfg_.checkpoint;
   std::size_t start_round = 0;
-  if (ckpt_on && cfg_.checkpoint.resume &&
-      checkpoint_exists(cfg_.checkpoint.path))
-    start_round = load_checkpoint();
-
-  // ---- One synchronous round ----------------------------------------------
-  const auto run_round = [&](std::size_t round) {
-    obs::Span round_span("round", std::int64_t(round));
-    current_round = round;
-    attack.begin_round(round, attack_rng);
-    const bool flip = attack.flips_labels();
-
-    // Participating clients this round (full set unless partial
-    // participation is configured). Byzantine clients are those among the
-    // sampled set with index < m.
-    byz_sel.clear();
-    benign_sel.clear();
-    if (cfg_.participation >= 1.0) {
-      for (std::size_t i = 0; i < m; ++i) byz_sel.push_back(i);
-      for (std::size_t i = m; i < n; ++i) benign_sel.push_back(i);
-    } else {
-      const std::size_t k = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 std::round(cfg_.participation * double(n))));
-      participation_rng.sample_without_replacement_into(n, k, sampled);
-      for (const std::size_t i : sampled)
-        (i < m ? byz_sel : benign_sel).push_back(i);
-    }
-
-    // Legacy failure injection, drawn sequentially from a dedicated
-    // stream so the outcome is a pure function of the seed. The two coins
-    // are sequential (see trainer.h): dropout first, straggler only for
-    // survivors, so every selected client lands in exactly one state. A
-    // dropped client misses the round entirely; a benign straggler still
-    // trains (into late_grads) but its update is discarded; a Byzantine
-    // straggler's crafted update simply never reaches the server.
-    std::size_t n_dropped = 0, n_straggler = 0;
-    benign_late.clear();
-    if (cfg_.dropout_prob > 0.0 || cfg_.straggler_prob > 0.0) {
-      auto sift = [&](std::vector<std::size_t>& sel, bool benign) {
-        active.clear();
-        for (const std::size_t i : sel) {
-          if (cfg_.dropout_prob > 0.0 &&
-              failure_rng.bernoulli(cfg_.dropout_prob)) {
-            ++n_dropped;
-          } else if (cfg_.straggler_prob > 0.0 &&
-                     failure_rng.bernoulli(cfg_.straggler_prob)) {
-            ++n_straggler;
-            if (benign) benign_late.push_back(i);
-          } else {
-            active.push_back(i);
-          }
-        }
-        // swap (not move) so both buffers keep their capacity round over
-        // round.
-        std::swap(sel, active);
-      };
-      sift(byz_sel, /*benign=*/false);
-      sift(benign_sel, /*benign=*/true);
-    }
-
-    // Chaos sift, layered after the legacy coins: churned clients miss
-    // the round entirely; the survivors' uplinks are simulated (latency x
-    // retries vs deadline). A late or lost uplink means the client DID
-    // train — its state advances exactly like a legacy straggler's — but
-    // no update reaches the aggregator. Corrupt arrivals stay active
-    // here; the wire decode below rejects their mangled bytes.
-    std::size_t n_churned = 0, n_deadline = 0, n_lost = 0;
-    std::size_t transmitters = 0;
-    std::uint64_t attempts_total = 0;
-    double slowest_ms = 0.0;
-    bool uplink_missing = false;
-    if (chaos_on) {
-      obs::StageScope stage(obs::Stage::kUplink, "chaos/sift");
-      auto chaos_sift = [&](std::vector<std::size_t>& sel, bool benign) {
-        active.clear();
-        for (const std::size_t i : sel) {
-          if (!chaos->client_up(i, round)) {
-            ++n_churned;
-            continue;
-          }
-          const UplinkSim sim = chaos->simulate_uplink(i, round);
-          ++transmitters;
-          attempts_total += sim.attempts;
-          switch (sim.delivery) {
-            case UplinkSim::Delivery::kOnTime:
-            case UplinkSim::Delivery::kCorrupt:
-              // Only delivered uplinks extend the round: a synchronous
-              // server closes on what it received, so a lost chain's (or,
-              // with no deadline, a late chain's) elapsed time is not on
-              // the critical path.
-              slowest_ms = std::max(slowest_ms, sim.elapsed_ms);
-              active.push_back(i);
-              break;
-            case UplinkSim::Delivery::kLate:
-              ++n_deadline;
-              ++n_straggler;
-              uplink_missing = true;
-              if (benign) benign_late.push_back(i);
-              break;
-            case UplinkSim::Delivery::kLost:
-              ++n_lost;
-              uplink_missing = true;
-              if (benign) benign_late.push_back(i);
-              break;
-          }
-        }
-        std::swap(sel, active);
-      };
-      chaos_sift(byz_sel, /*benign=*/false);
-      chaos_sift(benign_sel, /*benign=*/true);
-      obs::count(obs::Counter::kRetryAttempts, attempts_total);
-    }
-    // Simulated round wall-clock: the server closes the round at the
-    // deadline when anyone is still missing, else at the slowest arrival.
-    const double round_ms = (cfg_.chaos.deadline_ms > 0.0 && uplink_missing)
-                                ? cfg_.chaos.deadline_ms
-                                : slowest_ms;
-    if (chaos_on) {
-      result.churned_total += n_churned;
-      result.deadline_miss_total += n_deadline;
-      result.lost_uplink_total += n_lost;
-      result.uplink_attempts += attempts_total;
-      result.sim_time_ms += round_ms;
-    }
-    const auto fill_chaos = [&](RoundObservation& obs) {
-      if (!chaos_on) return;
-      obs.churned = n_churned;
-      obs.deadline_misses = n_deadline;
-      obs.lost_uplinks = n_lost;
-      obs.uplink_attempts = attempts_total;
-      obs.sim_round_ms = round_ms;
-    };
-    // Under chaos transport every post-churn client transmitted (retries
-    // included), whether or not its update was ultimately usable — so the
-    // byte accounting is attempts-based and uniform across the normal and
-    // skip paths below.
-    const std::uint64_t chaos_sent_bytes = attempts_total * wire_bytes;
-    const std::uint64_t chaos_dense_bytes =
-        std::uint64_t(transmitters) * dim * 4;
-
-    const std::size_t n_round = byz_sel.size() + benign_sel.size();
-    const std::size_t m_round = byz_sel.size();
-
-    // Local training: every participating client writes its gradient
-    // straight into a matrix row, in parallel. Benign clients fill
-    // round_grads rows [m_round, n_round); Byzantine clients fill their
-    // honest-behaviour rows in byz_honest; benign stragglers fill
-    // late_grads. Only the workers that can receive a non-empty chunk
-    // need a synced scratch model — and inside an outer parallel region
-    // (the sweep engine) the nested loop runs inline on one worker, so a
-    // single model suffices.
-    const std::size_t n_work = n_round + benign_late.size();
-    const std::size_t active_models = std::min(
-        common::in_parallel_region() ? 1 : common::thread_count(), n_work);
-    ensure_models(active_models);
-    for (std::size_t w = 0; w < active_models; ++w)
-      worker_models[w].set_parameters(server.parameters());
-    round_grads.resize(n_round, dim);
-    byz_honest.resize(m_round, dim);
-    late_grads.resize(benign_late.size(), dim);
-    {
-      obs::StageScope stage(obs::Stage::kClientCompute, nullptr,
-                            std::int64_t(n_work));
-      obs::count(obs::Counter::kDenseBytes, std::uint64_t(n_work) * dim * 4);
-      common::parallel_chunks(
-          n_work,
-          [&](std::size_t begin, std::size_t end, std::size_t worker) {
-            nn::Model& wm = worker_models[worker];
-            for (std::size_t t = begin; t < end; ++t) {
-              if (t < m_round) {
-                clients[byz_sel[t]].compute_gradient_into(
-                    byz_honest.row(t), wm, cfg_.batch_size, cfg_.weight_decay,
-                    flip, cfg_.client_momentum);
-              } else if (t < n_round) {
-                const std::size_t b = t - m_round;
-                clients[benign_sel[b]].compute_gradient_into(
-                    round_grads.row(t), wm, cfg_.batch_size,
-                    cfg_.weight_decay,
-                    /*flip_labels=*/false, cfg_.client_momentum);
-              } else {
-                const std::size_t s = t - n_round;
-                clients[benign_late[s]].compute_gradient_into(
-                    late_grads.row(s), wm, cfg_.batch_size, cfg_.weight_decay,
-                    /*flip_labels=*/false, cfg_.client_momentum);
-              }
-            }
-          });
-    }
-
-    if (benign_sel.empty()) {
-      // No honest gradient reached the server: skip aggregation. Local
-      // training above still ran for every active / straggling client, so
-      // a client's state evolution depends only on its own fate, never on
-      // what happened to the others this round.
-      ++result.skipped_rounds;
-      if (chaos_transport) {
-        result.uplink_bytes += chaos_sent_bytes;
-        result.uplink_dense_bytes += chaos_dense_bytes;
-        obs::count(obs::Stage::kUplink, obs::Counter::kWireBytes,
-                   chaos_sent_bytes);
-        obs::count(obs::Stage::kUplink, obs::Counter::kDenseBytes,
-                   chaos_dense_bytes);
-      }
-      {
-        // The feedback channel fires on every round, skips included —
-        // an adaptive attacker (attacks/adaptive.h) learns from silence
-        // too. craft() never ran, so there is nothing to leak.
-        attacks::RoundFeedback fb;
-        fb.round = round;
-        fb.skipped = true;
-        fb.degraded = true;
-        attack.observe_round(fb);
-      }
-      if (observer) {
-        RoundObservation obs;
-        obs.round = round;
-        obs.attack_name = attack.name();
-        obs.dropped = n_dropped;
-        obs.stragglers = n_straggler;
-        obs.skipped = true;
-        obs.outcome = RoundOutcome::kSkippedNoHonest;
-        fill_chaos(obs);
-        if (chaos_transport) {
-          obs.uplink_bytes = chaos_sent_bytes;
-          obs.uplink_dense_bytes = chaos_dense_bytes;
-        }
-        observer(obs);
-      }
-      return;
-    }
-
-    // Benign uplinks go through the wire first: what the attacker gets
-    // to observe — and what the server aggregates — is the decoded
-    // (post-compression) view of every honest gradient. A benign uplink
-    // only fails to decode under the tamper hook or a chaos-corrupted
-    // arrival.
-    std::size_t benign_rejects = 0;
-    if (transport_on) {
-      rejected.assign(n_round, 0);
-      transport_rows(m_round, n_round, /*decode_rows=*/true,
-                     [&](std::size_t t) { return benign_sel[t - m_round]; });
-      for (std::size_t t = m_round; t < n_round; ++t)
-        benign_rejects += rejected[t] != 0;
-      if (benign_rejects == n_round - m_round) {
-        // Every honest uplink was rejected: nothing trustworthy reached
-        // the server, so the round is skipped like a fully-dropped one.
-        // Without chaos the Byzantine rows were never transported, so
-        // only the benign uplinks' bytes were spent.
-        const std::uint64_t sent = n_round - m_round;
-        const std::uint64_t sent_bytes =
-            chaos_transport ? chaos_sent_bytes : sent * wire_bytes;
-        const std::uint64_t dense_bytes =
-            chaos_transport ? chaos_dense_bytes
-                            : sent * std::uint64_t(dim) * 4;
-        result.uplink_bytes += sent_bytes;
-        result.uplink_dense_bytes += dense_bytes;
-        result.decode_rejects += benign_rejects;
-        obs::count(obs::Stage::kUplink, obs::Counter::kWireBytes, sent_bytes);
-        obs::count(obs::Stage::kUplink, obs::Counter::kDenseBytes,
-                   dense_bytes);
-        obs::count(obs::Stage::kDecode, obs::Counter::kDecodeRejects,
-                   benign_rejects);
-        ++result.skipped_rounds;
-        {
-          attacks::RoundFeedback fb;
-          fb.round = round;
-          fb.decode_rejects = benign_rejects;
-          fb.skipped = true;
-          fb.degraded = true;
-          attack.observe_round(fb);
-        }
-        if (observer) {
-          RoundObservation obs;
-          obs.round = round;
-          obs.attack_name = attack.name();
-          obs.dropped = n_dropped;
-          obs.stragglers = n_straggler;
-          obs.decode_rejects = benign_rejects;
-          obs.uplink_bytes = sent_bytes;
-          obs.uplink_dense_bytes = dense_bytes;
-          obs.skipped = true;
-          obs.outcome = RoundOutcome::kSkippedNoHonest;
-          fill_chaos(obs);
-          observer(obs);
-        }
-        return;
-      }
-    }
-
-    // The attacker observes the benign rows (and the honest Byzantine
-    // gradients) as borrowed views of the round buffers — no copies.
-    // Rejected uplinks never reached the server, so they are invisible
-    // to the (omniscient-but-server-side) attacker too.
-    benign_views.clear();
-    benign_views.reserve(n_round - m_round - benign_rejects);
-    for (std::size_t t = m_round; t < n_round; ++t)
-      if (!transport_on || !rejected[t])
-        benign_views.push_back(round_grads.row(t));
-    const std::vector<attacks::GradientView> byz_views =
-        byz_honest.row_views();
-
-    attacks::AttackContext actx;
-    actx.benign_grads = benign_views;
-    actx.byz_honest_grads = byz_views;
-    actx.n_total = n_round - benign_rejects;
-    actx.n_byzantine = m_round;
-    actx.round = round;
-    actx.rng = &attack_rng;
-    {
-      obs::StageScope stage(obs::Stage::kOther, "attack/craft",
-                            std::int64_t(m_round));
-      const std::vector<std::vector<float>> malicious = attack.craft(actx);
-      // Loud validation in every build type: a misbehaving user-defined
-      // attack must not turn into an out-of-bounds copy into the matrix.
-      if (malicious.size() != m_round)
-        throw std::invalid_argument(
-            "attack '" + attack.name() + "' crafted " +
-            std::to_string(malicious.size()) + " gradients, expected " +
-            std::to_string(m_round));
-      for (std::size_t i = 0; i < m_round; ++i) {
-        if (malicious[i].size() != dim)
-          throw std::invalid_argument(
-              "attack '" + attack.name() + "' crafted gradient " +
-              std::to_string(i) + " with dimension " +
-              std::to_string(malicious[i].size()) + ", expected " +
-              std::to_string(dim));
-        const auto row = round_grads.row(i);
-        std::copy(malicious[i].begin(), malicious[i].end(), row.begin());
-      }
-    }
-
-    // Byzantine uplinks take the same wire as everyone else's: the
-    // crafted update is what gets compressed, so defenses face the
-    // attack as the codec delivers it. A Byzantine client shipping
-    // bytes that do not decode is simply rejected — its slot never
-    // reaches the aggregator.
-    std::size_t m_eff = m_round, n_eff = n_round;
-    std::size_t round_rejects = benign_rejects;
-    if (transport_on) {
-      // On the wire path the crafted rows are validated, never decoded:
-      // their floats stay wire-side until (and unless) SignGuard admits
-      // them below.
-      transport_rows(0, m_round, /*decode_rows=*/!wire_filtering,
-                     [&](std::size_t t) { return byz_sel[t]; });
-      for (std::size_t t = 0; t < m_round; ++t)
-        round_rejects += rejected[t] != 0;
-      if (round_rejects > 0) {
-        // Compact the surviving rows into a prefix (Byzantine rows stay
-        // in front, order preserved) so the aggregator sees a dense
-        // matrix of exactly the updates that decoded — and their uplink
-        // buffers move with them, so buffer t keeps describing row t for
-        // the wire path.
-        std::size_t w = 0;
-        m_eff = 0;
-        for (std::size_t t = 0; t < n_round; ++t) {
-          if (rejected[t]) continue;
-          if (t < m_round) ++m_eff;
-          if (w != t) {
-            const auto src = round_grads.row(t);
-            std::copy(src.begin(), src.end(), round_grads.row(w).begin());
-            std::swap(uplink[w], uplink[t]);
-          }
-          ++w;
-        }
-        n_eff = w;
-        round_grads.resize(n_eff, dim);
-      }
-    }
-
-    agg::GarContext gctx;
-    gctx.assumed_byzantine = m_eff;
-    gctx.round = round;
-    gctx.rng = &gar_rng;
-    // Dense bytes the aggregation pipeline materialized from accepted
-    // uplinks: all of them on the decode path, only the trusted set's on
-    // the wire path.
-    std::uint64_t decoded_bytes = 0;
-    const std::vector<float>* agg_ptr = nullptr;
-    RoundOutcome outcome = RoundOutcome::kProceed;
-    // Optional (not a block) so the branches below stay un-reindented;
-    // reset() closes the aggregation stage before the eval below.
-    std::optional<obs::StageScope> agg_stage;
-    agg_stage.emplace(obs::Stage::kAggregate, nullptr, std::int64_t(n_eff));
-    if (quorum_on) {
-      // Quorum-policed aggregation (fl/chaos.h): same GAR + optimizer
-      // sequence as server.step(), but the aggregate is only applied
-      // after the pre- and post-filter quorums pass; otherwise the round
-      // degrades down the policy's fallback chain.
-      if (transport_on) decoded_bytes = std::uint64_t(n_eff) * dim * 4;
-      bool have = false;
-      std::vector<float> agg;
-      if (n_eff >= cfg_.quorum.min_participants) {
-        try {
-          agg = server.gar().aggregate(round_grads, gctx);
-          have = true;
-        } catch (const std::exception&) {
-          // A starved rule (e.g. Bulyan's n >= 4m+3) degrades instead of
-          // aborting the run.
-          have = false;
-        }
-        if (have && cfg_.quorum.min_survivors > 0 &&
-            server.gar().reports_selection() &&
-            server.gar().last_selected().size() < cfg_.quorum.min_survivors)
-          have = false;
-      }
-      if (have) {
-        agg_ptr = &server.apply_aggregate(std::move(agg));
-      } else {
-        DegradeAction act = cfg_.quorum.action;
-        if (act == DegradeAction::kClippedMean) {
-          // Norm-clipped mean over the finite-norm accepted rows, with
-          // their median norm as the bound — SignGuard's own aggregation
-          // step minus its filters. Falls through when nothing finite
-          // arrived.
-          const std::vector<double> norms = vec::row_norms(round_grads);
-          std::vector<std::size_t> finite;
-          std::vector<double> fnorms;
-          for (std::size_t i = 0; i < n_eff; ++i)
-            if (std::isfinite(norms[i])) {
-              finite.push_back(i);
-              fnorms.push_back(norms[i]);
-            }
-          if (!finite.empty()) {
-            std::sort(fnorms.begin(), fnorms.end());
-            const std::size_t mid = fnorms.size() / 2;
-            const double median =
-                fnorms.size() % 2 == 1
-                    ? fnorms[mid]
-                    : 0.5 * (fnorms[mid - 1] + fnorms[mid]);
-            agg_ptr = &server.apply_aggregate(
-                core::clipped_mean(round_grads, finite, median,
-                                   /*clip=*/true, norms));
-            outcome = RoundOutcome::kFallbackClippedMean;
-            ++result.fallback_cmean_rounds;
-          } else {
-            act = DegradeAction::kPrevAggregate;
-          }
-        }
-        if (agg_ptr == nullptr && act == DegradeAction::kPrevAggregate) {
-          if (!server.last_aggregate().empty()) {
-            // Replay the previous round's aggregate (copy first:
-            // apply_aggregate overwrites the buffer being read).
-            std::vector<float> prev = server.last_aggregate();
-            agg_ptr = &server.apply_aggregate(std::move(prev));
-            outcome = RoundOutcome::kFallbackPrevAggregate;
-            ++result.fallback_prev_rounds;
-          }
-        }
-        if (agg_ptr == nullptr) outcome = RoundOutcome::kSkippedQuorum;
-      }
-    } else if (wire_filtering) {
-      comm::WireRound wr;
-      wr.codec = codec.get();
-      wr.uplinks = std::span<const std::vector<std::uint8_t>>(
-          uplink.data(), n_eff);
-      wr.d = dim;
-      agg_ptr = &server.apply_aggregate(sg->aggregate_wire(wr, gctx));
-      decoded_bytes = sg->last_decoded_bytes();
-    } else {
-      agg_ptr = &server.step(round_grads, gctx);
-      if (transport_on) decoded_bytes = std::uint64_t(n_eff) * dim * 4;
-    }
-    agg_stage.reset();
-
-    // Selection accounting (only meaningful for selecting rules, and only
-    // on rounds where the rule's aggregate was actually applied).
-    std::vector<std::size_t> selected;
-    if (outcome == RoundOutcome::kProceed) {
-      selected = server.gar().last_selected();
-      if (!selected.empty())
-        result.selection.accumulate(selected, m_eff, n_eff);
-    }
-
-    // Periodic evaluation (always evaluate the final round).
-    RoundObservation obs;
-    obs.round = round;
-    obs.attack_name = attack.name();
-    obs.selected = selected;
-    obs.participants = n_eff;
-    obs.byzantine = m_eff;
-    obs.dropped = n_dropped;
-    obs.stragglers = n_straggler;
-    obs.outcome = outcome;
-    fill_chaos(obs);
-    if (agg_ptr != nullptr) {
-      obs.aggregate = *agg_ptr;
-    } else {
-      obs.skipped = true;
-      ++result.skipped_rounds;
-    }
-    if (outcome == RoundOutcome::kProceed) {
-      if (const auto* sharded =
-              dynamic_cast<const agg::ShardedAggregator*>(&server.gar())) {
-        obs.shards = sharded->last_shards();
-        obs.shard_survivors = sharded->last_shard_survivors();
-      }
-    }
-    if (transport_on) {
-      obs.decode_rejects = round_rejects;
-      if (chaos_transport) {
-        obs.uplink_bytes = chaos_sent_bytes;
-        obs.uplink_dense_bytes = chaos_dense_bytes;
-      } else {
-        obs.uplink_bytes = n_round * wire_bytes;
-        obs.uplink_dense_bytes = std::uint64_t(n_round) * dim * 4;
-      }
-      obs.uplink_decoded_bytes = decoded_bytes;
-      result.uplink_bytes += obs.uplink_bytes;
-      result.uplink_dense_bytes += obs.uplink_dense_bytes;
-      result.decode_rejects += round_rejects;
-      result.uplink_decoded_bytes += decoded_bytes;
-      obs::count(obs::Stage::kUplink, obs::Counter::kWireBytes,
-                 obs.uplink_bytes);
-      obs::count(obs::Stage::kUplink, obs::Counter::kDenseBytes,
-                 obs.uplink_dense_bytes);
-      obs::count(obs::Stage::kDecode, obs::Counter::kDecodeRejects,
-                 round_rejects);
-    }
-    if (agg_ptr != nullptr &&
-        ((round + 1) % cfg_.eval_every == 0 || round + 1 == cfg_.rounds)) {
-      obs::StageScope stage(obs::Stage::kEval);
-      model.set_parameters(server.parameters());
-      const double acc = evaluate_accuracy(model, data_.test, 256,
-                                           cfg_.eval_max_samples);
-      result.history.push_back({round, acc});
-      result.best_accuracy = std::max(result.best_accuracy, acc);
-      result.final_accuracy = acc;
-      obs.test_accuracy = acc;
-    }
-    {
-      // Close the adversary's feedback loop (attack.h RoundFeedback):
-      // what the colluding clients could observe this round. Runs before
-      // the round-boundary checkpoint below, so adaptive search state is
-      // crash-consistent; the aggregate span borrows the server buffer
-      // and is only valid for the call.
-      attacks::RoundFeedback fb;
-      fb.round = round;
-      fb.participants = n_eff;
-      fb.byzantine = m_eff;
-      fb.has_selection =
-          outcome == RoundOutcome::kProceed && server.gar().reports_selection();
-      fb.selected = selected.size();
-      for (const std::size_t id : selected)
-        fb.selected_byzantine += id < m_eff ? 1 : 0;
-      fb.decode_rejects = transport_on ? round_rejects : 0;
-      fb.skipped = agg_ptr == nullptr;
-      fb.degraded = outcome != RoundOutcome::kProceed;
-      if (agg_ptr != nullptr) fb.aggregate = *agg_ptr;
-      attack.observe_round(fb);
-    }
-    if (observer) observer(obs);
-  };
-
+  if (ckpt.active() && ckpt.resume && checkpoint_exists(ckpt.path))
+    start_round = run.load_checkpoint();
   for (std::size_t round = start_round; round < cfg_.rounds; ++round) {
     // Counter round brackets the checkpoint save, so checkpoint bytes
     // land in the round that wrote them, and a serialize() inside
@@ -952,24 +897,23 @@ TrainingResult Trainer::run(attacks::Attack& attack,
     // record it (nothing counts between the save and end_round) —
     // kill+resume therefore restores bitwise-identical counter state.
     if (cfg_.metrics != nullptr) cfg_.metrics->begin_round(round);
-    run_round(round);
+    run.round(round);
     // Checkpoint AFTER the round completes (skipped rounds included), so
     // a resume replays from a round boundary; the final round's state is
     // not worth a file. The halt switch simulates a crash right after
     // the round — deliberately without forcing a save, exactly like a
     // real kill between checkpoints.
-    if (ckpt_on && (round + 1) % cfg_.checkpoint.every == 0 &&
+    if (ckpt.active() && (round + 1) % ckpt.every == 0 &&
         round + 1 < cfg_.rounds)
-      save_checkpoint(round + 1);
+      run.save_checkpoint(round + 1);
     if (cfg_.metrics != nullptr) cfg_.metrics->end_round();
-    if (cfg_.checkpoint.halt_after_round > 0 &&
-        round + 1 >= cfg_.checkpoint.halt_after_round &&
+    if (ckpt.halt_after_round > 0 && round + 1 >= ckpt.halt_after_round &&
         round + 1 < cfg_.rounds) {
-      result.halted = true;
+      run.result().halted = true;
       break;
     }
   }
-  return result;
+  return std::move(run.result());
 }
 
 }  // namespace signguard::fl

@@ -100,7 +100,8 @@ struct TrainerConfig {
   // mutation that no longer decodes surfaces as a per-client
   // decode-reject: the update is dropped before aggregation and counted
   // in RoundObservation::decode_rejects. Setting the hook activates the
-  // transport even under the kNone codec.
+  // transport even under the kNone codec. The hook runs concurrently on
+  // the pool's workers, one call per uplink, so it must be thread-safe.
   std::function<void(std::size_t client, std::vector<std::uint8_t>& buf)>
       uplink_tamper;
   // Deterministic work-counter registry (src/obs). Borrowed, may be null

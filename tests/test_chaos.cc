@@ -14,10 +14,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/parallel.h"
+#include "common/serial.h"
 #include "data/synth_image.h"
 #include "fl/chaos.h"
 #include "fl/checkpoint.h"
@@ -474,8 +476,59 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdentical) {
 TEST(Checkpoint, ConfigMismatchRefusesToResume) {
   const auto tt = tiny_data();
   const std::string path = tmp_path("mismatch.ckpt");
+  TrainerConfig base = tiny_config();
+  base.checkpoint.path = path;
+  base.checkpoint.every = 2;
+  base.checkpoint.halt_after_round = 4;
+  // Each case: the configuration that writes the checkpoint, then a
+  // different one the config hash must refuse to resume under.
+  TrainerConfig reseeded = base;
+  reseeded.seed = 4;
+  // Learning rates that differ only below 1e-6 (a six-decimal rendering
+  // of the config would merge them).
+  TrainerConfig tiny_lr = base;
+  tiny_lr.lr = 1e-7;
+  TrainerConfig other_tiny_lr = tiny_lr;
+  other_tiny_lr.lr = 4e-7;
+  // Same fault profile name, different numbers inside it.
+  TrainerConfig flaky = base;
+  flaky.chaos.profile = fault_profile_from_name("flaky");
+  TrainerConfig lossier = flaky;
+  lossier.chaos.profile.p_drop += 0.1;
+  const std::pair<TrainerConfig, TrainerConfig> cases[] = {
+      {base, reseeded}, {tiny_lr, other_tiny_lr}, {flaky, lossier}};
+  for (auto [written, resumed] : cases) {
+    std::remove(path.c_str());
+    {
+      Trainer trainer(tt, tiny_model(), written);
+      auto attack = make_attack("NoAttack");
+      trainer.run(*attack, make_aggregator("Mean", 1), nullptr);
+    }
+    ASSERT_TRUE(checkpoint_exists(path));
+    resumed.checkpoint.halt_after_round = 0;
+    resumed.checkpoint.resume = true;
+    Trainer trainer(tt, tiny_model(), resumed);
+    auto attack = make_attack("NoAttack");
+    EXPECT_THROW(trainer.run(*attack, make_aggregator("Mean", 1), nullptr),
+                 std::runtime_error);
+  }
+  std::remove(path.c_str());
+}
+
+// A checkpoint with a valid checksum whose server velocity or previous
+// aggregate has the wrong length must be refused on restore: the
+// optimizer and the quorum's previous-aggregate replay would read past
+// its end.
+TEST(Checkpoint, RestoreRefusesMissizedServerVectors) {
+  const auto tt = tiny_data();
+  const std::string path = tmp_path("missized.ckpt");
   std::remove(path.c_str());
   TrainerConfig cfg = tiny_config();
+  // Half the clients drop out, so some rounds miss the quorum and replay
+  // the previous aggregate.
+  cfg.dropout_prob = 0.5;
+  cfg.quorum.min_participants = 10;
+  cfg.quorum.action = DegradeAction::kPrevAggregate;
   cfg.checkpoint.path = path;
   cfg.checkpoint.every = 2;
   cfg.checkpoint.halt_after_round = 4;
@@ -484,14 +537,44 @@ TEST(Checkpoint, ConfigMismatchRefusesToResume) {
     auto attack = make_attack("NoAttack");
     trainer.run(*attack, make_aggregator("Mean", 1), nullptr);
   }
-  ASSERT_TRUE(checkpoint_exists(path));
-  cfg.checkpoint.halt_after_round = 0;
-  cfg.checkpoint.resume = true;
-  cfg.seed = 4;  // different run — the config hash must refuse the file
-  Trainer trainer(tt, tiny_model(), cfg);
-  auto attack = make_attack("NoAttack");
-  EXPECT_THROW(trainer.run(*attack, make_aggregator("Mean", 1), nullptr),
-               std::runtime_error);
+  const std::string original = read_checkpoint_file(path);
+  // Payload layout: config hash, next round, then the server's
+  // parameters, velocity and previous aggregate, then everything else.
+  common::ByteReader r(original);
+  const std::uint64_t hash = r.u64();
+  const std::uint64_t next_round = r.u64();
+  const std::vector<float> params = r.floats();
+  const std::vector<float> velocity = r.floats();
+  const std::vector<float> last_aggregate = r.floats();
+  const std::string rest = original.substr(original.size() - r.remaining());
+  ASSERT_EQ(velocity.size(), params.size());
+  ASSERT_EQ(last_aggregate.size(), params.size());
+  const auto resume_with = [&](const std::vector<float>& vel,
+                               const std::vector<float>& last) {
+    common::ByteWriter w;
+    w.u64(hash);
+    w.u64(next_round);
+    w.floats(params);
+    w.floats(vel);
+    w.floats(last);
+    w.raw(rest.data(), rest.size());
+    write_checkpoint_file(path, w.bytes());
+    TrainerConfig resumed = cfg;
+    resumed.checkpoint.halt_after_round = 0;
+    resumed.checkpoint.resume = true;
+    Trainer trainer(tt, tiny_model(), resumed);
+    auto attack = make_attack("NoAttack");
+    return trainer.run(*attack, make_aggregator("Mean", 1), nullptr);
+  };
+  const std::vector<float> three(3, 1.0f);
+  EXPECT_THROW(resume_with(velocity, three), std::invalid_argument);
+  EXPECT_THROW(resume_with(three, last_aggregate), std::invalid_argument);
+  // The unmodified rewrite resumes, and so do empty vectors (a server
+  // that has not stepped yet): the refusals above are the size check.
+  TrainingResult res;
+  EXPECT_NO_THROW(res = resume_with(velocity, last_aggregate));
+  EXPECT_GT(res.fallback_prev_rounds, 0u);
+  EXPECT_NO_THROW(resume_with({}, {}));
   std::remove(path.c_str());
 }
 

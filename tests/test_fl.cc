@@ -4,19 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
 
 #include "aggregators/baselines.h"
 #include "attacks/byzmean.h"
 #include "attacks/lie.h"
 #include "attacks/simple_attacks.h"
 #include "attacks/time_varying.h"
+#include "comm/stats.h"
+#include "common/hash.h"
 #include "core/signguard.h"
 #include "data/synth_image.h"
 #include "fl/client.h"
 #include "fl/experiment.h"
 #include "fl/metrics.h"
 #include "fl/server.h"
+#include "fl/sweep.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
 #include "test_support.h"
@@ -511,6 +519,265 @@ TEST(ScaleFromEnv, ParsesKnownValues) {
   EXPECT_EQ(to_string(Scale::kSmoke), "smoke");
   EXPECT_EQ(to_string(Scale::kDefault), "default");
   EXPECT_EQ(to_string(Scale::kFull), "full");
+}
+
+// ---- Pinned trainer behaviour ---------------------------------------------
+// FNV-1a hashes of the trainer's observable output on paths the golden
+// traces do not reach (codecs, both wire-path backends, sharding, the
+// legacy and chaos sifts, every quorum action, adaptive attacks, tamper
+// rejects and the all-rejected skip), plus the checkpoint payload bytes.
+// A refactor of the round must leave every hash unchanged.
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// FNV-1a of the JSONL a sweep over `grid` emits with the counter plane
+// on, so the pin covers the per-round "obs" counters too.
+std::uint64_t pinned_sweep_hash(const SweepGrid& grid,
+                                ScenarioResult* first = nullptr) {
+  std::ostringstream os;
+  SweepOptions opts;
+  opts.scale = Scale::kSmoke;
+  opts.jsonl = &os;
+  opts.obs_counters = true;
+  const std::vector<ScenarioResult> results = run_sweep(grid.expand(), opts);
+  for (const ScenarioResult& r : results)
+    EXPECT_EQ(r.error, "") << r.spec.id();
+  if (first != nullptr) *first = results.front();
+  return common::fnv1a64(os.str());
+}
+
+struct WirePathGuard {
+  comm::WirePath saved = comm::wire_path();
+  ~WirePathGuard() { comm::set_wire_path(saved); }
+};
+
+TEST(TrainerPinned, ObsCountersJsonl) {
+  WirePathGuard guard;
+  SweepGrid sign1;
+  sign1.attacks = {"ByzMean"};
+  sign1.gars = {"SignGuard"};
+  sign1.codecs = {"sign1"};
+  sign1.n_clients = 12;
+  sign1.rounds = 4;
+  comm::set_wire_path(comm::WirePath::kWire);
+  EXPECT_EQ(hex64(pinned_sweep_hash(sign1)), "0x0abb517fdb844cc9")
+      << "sign1 wire";
+  comm::set_wire_path(comm::WirePath::kDecode);
+  EXPECT_EQ(hex64(pinned_sweep_hash(sign1)), "0x99eec3790971eced")
+      << "sign1 decode";
+  comm::set_wire_path(guard.saved);
+
+  SweepGrid codecs;
+  codecs.attacks = {"LIE"};
+  codecs.gars = {"SignGuard", "Multi-Krum"};
+  codecs.codecs = {"int8", "topk"};
+  codecs.n_clients = 12;
+  codecs.rounds = 4;
+  EXPECT_EQ(hex64(pinned_sweep_hash(codecs)), "0xf96ec801da55ff8b")
+      << "int8/topk";
+
+  SweepGrid sharded;
+  sharded.attacks = {"SignFlip"};
+  sharded.gars = {"SignGuard"};
+  sharded.shard_counts = {8};
+  sharded.participations = {0.5};
+  sharded.dropout_probs = {0.2};
+  sharded.straggler_probs = {0.2};
+  sharded.n_clients = 64;
+  sharded.rounds = 4;
+  EXPECT_EQ(hex64(pinned_sweep_hash(sharded)), "0x97ece06702001ab0")
+      << "sharded";
+
+  // Each action, its pin, and the count that proves it degraded rounds.
+  const struct {
+    const char* action;
+    const char* pin;
+    std::size_t ScenarioResult::*degraded;
+  } quorum_pins[] = {
+      {"cmean", "0x8d74af670ca02dbc", &ScenarioResult::fallback_cmean_rounds},
+      {"prev", "0x5a6fca46537fa718", &ScenarioResult::fallback_prev_rounds},
+      {"skip", "0x1afd50fa1881b4bb", &ScenarioResult::skipped_rounds}};
+  for (const auto& [action, pin, degraded] : quorum_pins) {
+    SweepGrid chaos;
+    chaos.attacks = {"LIE"};
+    chaos.gars = {"SignGuard"};
+    chaos.faults = {"flaky"};
+    chaos.deadlines = {250.0};
+    chaos.churns = {0.1};
+    chaos.dropout_probs = {0.2};
+    chaos.straggler_probs = {0.2};
+    chaos.quorum_min = 12;
+    chaos.quorum_action = action;
+    chaos.n_clients = 24;
+    chaos.rounds = 6;
+    ScenarioResult r;
+    EXPECT_EQ(hex64(pinned_sweep_hash(chaos, &r)), pin) << action;
+    EXPECT_GT(r.*degraded, 0u) << action;
+  }
+
+  SweepGrid adversary;
+  adversary.attacks = {"MinMax"};
+  adversary.gars = {"SignGuard"};
+  adversary.codecs = {"sign1"};
+  adversary.faults = {"flaky"};
+  adversary.adaptives = {true};
+  adversary.wirecrafts = {true};
+  adversary.colludes = {0.5};
+  adversary.n_clients = 16;
+  adversary.rounds = 5;
+  EXPECT_EQ(hex64(pinned_sweep_hash(adversary)), "0x774da7120ded2ba4")
+      << "adversary";
+}
+
+// Folds every field of every RoundObservation, then the run's totals.
+struct ObservationFold {
+  std::uint64_t state = common::kFnvOffsetBasis;
+  std::size_t rounds = 0;
+
+  void word(std::uint64_t w) { state = common::fnv1a64(&w, sizeof w, state); }
+  void real(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    word(bits);
+  }
+  RoundObserver observer() {
+    return [this](const RoundObservation& o) {
+      ++rounds;
+      word(o.round);
+      word(o.test_accuracy.has_value());
+      if (o.test_accuracy) real(*o.test_accuracy);
+      state = common::fnv1a64(o.attack_name, state);
+      word(o.aggregate.size());
+      state = common::fnv1a64(o.aggregate.data(),
+                              o.aggregate.size() * sizeof(float), state);
+      word(o.selected.size());
+      for (const std::size_t id : o.selected) word(id);
+      for (const std::uint64_t w :
+           {std::uint64_t(o.participants), std::uint64_t(o.byzantine),
+            std::uint64_t(o.dropped), std::uint64_t(o.stragglers),
+            std::uint64_t(o.decode_rejects), o.uplink_bytes,
+            o.uplink_dense_bytes, o.uplink_decoded_bytes,
+            std::uint64_t(o.shards), std::uint64_t(o.churned),
+            std::uint64_t(o.deadline_misses), std::uint64_t(o.lost_uplinks),
+            o.uplink_attempts, std::uint64_t(o.outcome),
+            std::uint64_t(o.skipped)})
+        word(w);
+      for (const std::size_t sv : o.shard_survivors) word(sv);
+      real(o.sim_round_ms);
+    };
+  }
+  void result(const TrainingResult& r) {
+    for (const std::uint64_t w :
+         {r.uplink_bytes, r.uplink_dense_bytes,
+          std::uint64_t(r.decode_rejects), r.uplink_decoded_bytes,
+          std::uint64_t(r.skipped_rounds), std::uint64_t(r.selection.rounds)})
+      word(w);
+    real(r.final_accuracy);
+    real(r.selection.honest_rate);
+    real(r.selection.malicious_rate);
+  }
+};
+
+std::uint64_t pinned_run_hash(const TrainerConfig& cfg,
+                              const std::string& attack_name,
+                              const std::string& gar_name,
+                              TrainingResult* out) {
+  const auto tt = tiny_data();
+  Trainer trainer(tt, tiny_model(), cfg);
+  auto attack = make_attack(attack_name);
+  ObservationFold fold;
+  *out = trainer.run(*attack, make_aggregator(gar_name, 1), fold.observer());
+  fold.result(*out);
+  EXPECT_EQ(fold.rounds, cfg.rounds);
+  return fold.state;
+}
+
+TEST(TrainerPinned, RoundObservations) {
+  TrainerConfig cfg = tiny_config();
+  cfg.rounds = 8;
+  cfg.eval_every = 3;
+
+  // One rejected uplink per round: client 7's buffer is cut in half.
+  TrainerConfig one = cfg;
+  one.uplink_tamper = [](std::size_t client, std::vector<std::uint8_t>& buf) {
+    if (client == 7) buf.resize(buf.size() / 2);
+  };
+  TrainingResult res;
+  EXPECT_EQ(hex64(pinned_run_hash(one, "LIE", "SignGuard", &res)),
+            "0x29054dcfd080022d")
+      << "one reject";
+  EXPECT_EQ(res.decode_rejects, cfg.rounds);
+  EXPECT_EQ(res.skipped_rounds, 0u);
+
+  // Every uplink truncated: each round is the all-benign-rejected skip.
+  TrainerConfig all = cfg;
+  all.compression.codec = comm::CodecKind::kInt8;
+  all.uplink_tamper = [](std::size_t, std::vector<std::uint8_t>& buf) {
+    buf.resize(buf.size() / 2);
+  };
+  EXPECT_EQ(hex64(pinned_run_hash(all, "ByzMean", "Mean", &res)),
+            "0x945a412170ea6bc7")
+      << "all rejected";
+  EXPECT_EQ(res.skipped_rounds, cfg.rounds);
+  EXPECT_GT(res.uplink_bytes, 0u);
+
+  // Client-side momentum instead of server momentum.
+  TrainerConfig cm = cfg;
+  cm.client_momentum = 0.9;
+  cm.momentum = 0.0;
+  EXPECT_EQ(hex64(pinned_run_hash(cm, "ByzMean", "SignGuard", &res)),
+            "0xf55d47434a39d5cd")
+      << "client momentum";
+  EXPECT_EQ(res.skipped_rounds, 0u);
+}
+
+TEST(TrainerPinned, CheckpointPayload) {
+  const std::string dir = testing::TempDir() + "signguard_fl_pinned_ckpt";
+  ::mkdir(dir.c_str(), 0755);
+  SweepGrid grid;
+  grid.attacks = {"LIE"};
+  grid.gars = {"SignGuard"};
+  grid.codecs = {"int8"};
+  grid.faults = {"flaky"};
+  grid.deadlines = {250.0};
+  grid.churns = {0.1};
+  grid.dropout_probs = {0.2};
+  grid.straggler_probs = {0.2};
+  grid.quorum_min = 12;
+  grid.quorum_action = "prev";
+  grid.adaptives = {true};
+  grid.n_clients = 24;
+  grid.rounds = 8;
+  const std::vector<ScenarioSpec> specs = grid.expand();
+  ASSERT_EQ(specs.size(), 1u);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    common::fnv1a64(specs[0].id())));
+  const std::string path = dir + "/" + hex + ".ckpt";
+  std::remove(path.c_str());
+
+  SweepOptions opts;
+  opts.scale = Scale::kSmoke;
+  opts.obs_counters = true;
+  opts.checkpoint_dir = dir;
+  opts.checkpoint_every = 3;
+  opts.halt_after_round = 5;
+  const std::vector<ScenarioResult> res = run_sweep(specs, opts);
+  ASSERT_EQ(res[0].error, "");
+  EXPECT_TRUE(res[0].halted);
+  // The leading word is the configuration hash; everything after it is
+  // the run's state at the round-3 checkpoint.
+  const std::string payload = read_checkpoint_file(path);
+  ASSERT_GT(payload.size(), 8u);
+  EXPECT_EQ(hex64(common::fnv1a64(std::string_view(payload).substr(8))),
+            "0x373ee22237bb6b84");
+  std::remove(path.c_str());
 }
 
 }  // namespace
