@@ -34,13 +34,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/gradient_matrix.h"
-#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/vecops.h"
@@ -53,38 +51,10 @@ namespace {
 // measurement; cheap ones repeat until the budget is spent.
 obs::StopwatchReporter timer(200.0);
 
-struct Entry {
-  std::string group, name, backend;
-  std::size_t n = 0, d = 0;
-  double usec = 0.0;
-  double rate = 0.0;  // runs/s, or the speedup factor for group=speedup
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name,
-            const std::string& backend, std::size_t n, std::size_t d,
-            double usec, double rate) {
-  entries.push_back({group, name, backend, n, d, usec, rate});
-  std::printf("%-8s %-14s %-14s n=%-5zu d=%-8zu %12.1f us  %10.3f\n",
-              group.c_str(), name.c_str(), backend.c_str(), n, d, usec,
-              rate);
-}
-
-// Deterministic cheap fill (splitmix64 of the flat index): benchmark
-// inputs must not depend on how fast the RNG can stream a 4 GB matrix.
-common::GradientMatrix make_matrix(std::size_t n, std::size_t d) {
-  common::GradientMatrix m(n, d);
-  common::parallel_for(n, [&](std::size_t i) {
-    const auto row = m.row(i);
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::uint64_t h = common::splitmix64(i * d + j);
-      row[j] = static_cast<float>((double(h >> 11) * 0x1.0p-53 - 0.5) * 2.0 +
-                                  0.1);
-    }
-  });
-  return m;
-}
+// rate: runs/s, or the speedup factor for group=speedup.
+bench::Report report("signguard/aggregate_microbench/v1",
+                     {"group", "name", "backend", "n", "d", "usec", "rate"},
+                     1);
 
 const char* backend_name(vec::DistBackend b) {
   return b == vec::DistBackend::kGram ? "gram" : "direct";
@@ -116,44 +86,27 @@ std::string shape_tag(std::size_t n, std::size_t d) {
   return std::to_string(n) + "x" + (d >= 1'000'000 ? "1M" : "100k");
 }
 
-void write_json(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"schema\": \"signguard/aggregate_microbench/v1\",\n"
-      << "  \"threads\": 1,\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"backend\": \"" << e.backend << "\", \"n\": " << e.n
-        << ", \"d\": " << e.d
-        << ", \"usec\": " << obs::StopwatchReporter::json_num(e.usec)
-        << ", \"rate\": " << obs::StopwatchReporter::json_num(e.rate) << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
-
 }  // namespace
 }  // namespace signguard
 
 int main(int argc, char** argv) {
   using namespace signguard;
   bench::banner("aggregate_microbench", fl::scale_from_env());
-  timer.set_min_ms(std::stod(bench::arg_value(argc, argv, "min-ms", "200")));
+  bench::Gates gates(
+      argc, argv,
+      {{"krum-speedup", bench::Bound::kFloor,
+        "Gram Multi-Krum speedup at n=256, d=1M: the Gram path regressed "
+        "or silently fell back"},
+       {"bulyan-krum-ratio", bench::Bound::kCeiling,
+        "Bulyan / Multi-Krum wall at n=256, d=100k: Bulyan's selection or "
+        "coordinate step regressed"}});
+  timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 200));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_aggregate.json");
-  const std::string assert_arg =
-      bench::arg_value(argc, argv, "assert-krum-speedup", "");
-  const std::string assert_ratio_arg =
-      bench::arg_value(argc, argv, "assert-bulyan-krum-ratio", "");
   // --gars takes a comma list, and may repeat.
-  std::vector<std::string> gar_filter;
-  for (const auto& list : bench::arg_values(argc, argv, "gars"))
-    for (auto& gar : bench::split_csv(list)) gar_filter.push_back(gar);
-  const std::size_t max_n = std::strtoull(
-      bench::arg_value(argc, argv, "max-n", "1024").c_str(), nullptr, 10);
-  const std::size_t max_d = std::strtoull(
-      bench::arg_value(argc, argv, "max-d", "1000000").c_str(), nullptr, 10);
+  const auto gar_filter = bench::csv_values(argc, argv, "gars");
+  const std::size_t max_n = bench::count_arg(argc, argv, "max-n", 1024);
+  const std::size_t max_d = bench::count_arg(argc, argv, "max-d", 1'000'000);
 
   static const std::vector<std::string> kGars = {
       "Mean",       "TrMean", "Median", "GeoMed",
@@ -164,7 +117,6 @@ int main(int argc, char** argv) {
   // One pool thread for every measurement (see the header comment).
   common::set_thread_count(1);
 
-  double krum_speedup_256x1m = 0.0;
   double bulyan_usec_256x100k = 0.0, krum_usec_256x100k = 0.0;
 
   // Shape-outer so at most one cohort matrix is resident (the 1024 x 1M
@@ -184,7 +136,7 @@ int main(int argc, char** argv) {
                     n, d);
         continue;
       }
-      const auto m = make_matrix(n, d);
+      const auto m = bench::fill_matrix(n, d);
       // Gram-vs-direct cells: the pairwise kernel everywhere it is
       // affordable, plus the full Multi-Krum aggregate (the paper's
       // flagship O(n^2 d) defense) — n=256, d=1M is the asserted pair.
@@ -203,7 +155,7 @@ int main(int argc, char** argv) {
           continue;
         }
         const double usec = time_gar(gar, m);
-        record("gar", gar, "gram", n, d, usec, 1e6 / usec);
+        report.row("gar", gar, "gram", n, d, usec, 1e6 / usec);
         if (gar == "Bulyan" && n == 256 && d == 100'000)
           bulyan_usec_256x100k = usec;
       }
@@ -217,66 +169,30 @@ int main(int argc, char** argv) {
             auto d2 = vec::pairwise_dist2_packed(m);
             if (d2.empty()) std::abort();
           });
-          record("kernel", "pairwise_dist2", backend_name(backend), n, d,
-                 kernel_usec, 1e6 / kernel_usec);
+          report.row("kernel", "pairwise_dist2", backend_name(backend), n, d,
+                     kernel_usec, 1e6 / kernel_usec);
           const double gar_usec = time_gar("Multi-Krum", m);
-          record("gar", "Multi-Krum", backend_name(backend), n, d, gar_usec,
-                 1e6 / gar_usec);
+          report.row("gar", "Multi-Krum", backend_name(backend), n, d, gar_usec,
+                     1e6 / gar_usec);
           usec_by_backend[backend == vec::DistBackend::kGram ? 1 : 0] =
               gar_usec;
         }
         vec::set_dist_backend(vec::DistBackend::kGram);
         const double speedup = usec_by_backend[0] / usec_by_backend[1];
-        record("speedup", "krum_" + shape_tag(n, d), "gram_vs_direct", n, d,
-               usec_by_backend[1], speedup);
-        if (n == 256 && d == 1'000'000) krum_speedup_256x1m = speedup;
+        report.row("speedup", "krum_" + shape_tag(n, d), "gram_vs_direct", n, d,
+                   usec_by_backend[1], speedup);
+        if (n == 256 && d == 1'000'000) gates.measure("krum-speedup", speedup);
         if (n == 256 && d == 100'000) krum_usec_256x100k = usec_by_backend[1];
       }
     }
   }
 
-  // Zero when the run did not time both rules at n=256, d=100k.
-  const double bulyan_krum_ratio =
-      bulyan_usec_256x100k > 0.0 && krum_usec_256x100k > 0.0
-          ? bulyan_usec_256x100k / krum_usec_256x100k
-          : 0.0;
-  if (bulyan_krum_ratio > 0.0)
-    record("ratio", "bulyan_over_krum_256x100k", "gram", 256, 100'000,
-           bulyan_usec_256x100k, bulyan_krum_ratio);
-
-  write_json(json_path);
-
-  if (!assert_arg.empty()) {
-    const double need = std::stod(assert_arg);
-    if (krum_speedup_256x1m < need) {
-      std::fprintf(stderr,
-                   "FAIL: Gram Multi-Krum speedup %.2fx < required %.2fx at "
-                   "n=256, d=1M — Gram path regressed or silently fell back\n",
-                   krum_speedup_256x1m, need);
-      return 1;
-    }
-    std::printf("krum speedup %.2fx >= required %.2fx\n",
-                krum_speedup_256x1m, need);
+  // Measured only when the run timed both rules at n=256, d=100k.
+  if (bulyan_usec_256x100k > 0.0 && krum_usec_256x100k > 0.0) {
+    const double ratio = bulyan_usec_256x100k / krum_usec_256x100k;
+    report.row("ratio", "bulyan_over_krum_256x100k", "gram", 256, 100'000,
+               bulyan_usec_256x100k, ratio);
+    gates.measure("bulyan-krum-ratio", ratio);
   }
-
-  if (!assert_ratio_arg.empty()) {
-    const double limit = std::stod(assert_ratio_arg);
-    if (bulyan_krum_ratio == 0.0) {
-      std::fprintf(stderr,
-                   "FAIL: Bulyan/Multi-Krum ratio not measured — the run "
-                   "must include both rules at n=256, d=100k\n");
-      return 1;
-    }
-    if (bulyan_krum_ratio > limit) {
-      std::fprintf(stderr,
-                   "FAIL: Bulyan takes %.2fx Multi-Krum's wall at n=256, "
-                   "d=100k > allowed %.2fx — Bulyan's selection or "
-                   "coordinate step regressed\n",
-                   bulyan_krum_ratio, limit);
-      return 1;
-    }
-    std::printf("bulyan/krum ratio %.2fx <= allowed %.2fx\n",
-                bulyan_krum_ratio, limit);
-  }
-  return 0;
+  return bench::finish(report, json_path, gates);
 }

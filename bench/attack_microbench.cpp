@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,35 +42,10 @@ namespace {
 
 using bench::Stopwatch;
 
-struct Entry {
-  std::string group, name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name, double value,
-            const std::string& unit) {
-  entries.push_back({group, name, value, unit});
-  std::printf("%-12s %-32s %14.4f %s\n", group.c_str(), name.c_str(), value,
-              unit.c_str());
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"schema\": \"signguard/attack_microbench/v1\",\n"
-      << "  \"threads\": " << common::thread_count() << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"value\": " << obs::StopwatchReporter::json_num(e.value)
-        << ", \"unit\": \"" << e.unit << "\"}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
+// Timed on one pool thread (see main).
+bench::Report report("signguard/attack_microbench/v1",
+                     {"group", "name", "value", "unit"}, 1);
+bench::Gates gates;  // read from argv in main
 
 // Every scenario below pins rounds and clients explicitly, so the
 // numbers are scale-independent; the sweep engine supplies the rest of
@@ -105,13 +79,7 @@ const fl::ScenarioResult& cell(const std::vector<fl::ScenarioResult>& results,
 
 // ---- scoreboard: static vs adaptive Min-Max per defense --------------------
 
-struct ScoreboardOutcome {
-  double adaptive_gap = 0.0;          // max static-vs-adaptive gap, baselines
-  double signguard_worstcase = 0.0;   // min over SignGuard attacked cells
-  double signguard_noattack = 0.0;
-};
-
-ScoreboardOutcome bench_scoreboard(std::size_t rounds) {
+void bench_scoreboard(std::size_t rounds) {
   const std::vector<std::string> gars = {"TrMean", "Median", "Multi-Krum",
                                          "SignGuard"};
   fl::SweepGrid grid;
@@ -122,35 +90,38 @@ ScoreboardOutcome bench_scoreboard(std::size_t rounds) {
   grid.n_clients = kClients;
   Stopwatch w;
   const auto results = run_cells(grid.expand());
-  record("scoreboard", "wall", w.seconds(), "s");
+  report.row("scoreboard", "wall", w.seconds(), "s");
 
-  ScoreboardOutcome out;
+  double adaptive_gap = 0.0;         // max static-vs-adaptive gap, baselines
+  double signguard_worstcase = 0.0;  // min over SignGuard attacked cells
+  double signguard_noattack = 0.0;
   for (const auto& gar : gars) {
     const double clean = cell(results, "NoAttack", gar, false).best_accuracy;
     const double st = cell(results, "MinMax", gar, false).best_accuracy;
     const double ad = cell(results, "MinMax", gar, true).best_accuracy;
-    record("scoreboard", gar + "_noattack", clean, "%");
-    record("scoreboard", gar + "_static", st, "%");
-    record("scoreboard", gar + "_adaptive", ad, "%");
+    report.row("scoreboard", gar + "_noattack", clean, "%");
+    report.row("scoreboard", gar + "_static", st, "%");
+    report.row("scoreboard", gar + "_adaptive", ad, "%");
     if (gar == "SignGuard") {
-      out.signguard_noattack = clean;
-      out.signguard_worstcase = std::min(st, ad);
+      signguard_noattack = clean;
+      signguard_worstcase = std::min(st, ad);
     } else {
-      out.adaptive_gap = std::max(out.adaptive_gap, st - ad);
+      adaptive_gap = std::max(adaptive_gap, st - ad);
     }
   }
   const auto& mk_ad = cell(results, "MinMax", "Multi-Krum", true);
   const auto& mk_st = cell(results, "MinMax", "Multi-Krum", false);
-  record("scoreboard", "multikrum_malicious_pass_static",
-         mk_st.malicious_pass_rate, "");
-  record("scoreboard", "multikrum_malicious_pass_adaptive",
-         mk_ad.malicious_pass_rate, "");
-  record("scoreboard", "adaptive_gap", out.adaptive_gap, "pts");
-  record("scoreboard", "signguard_worstcase_acc", out.signguard_worstcase,
-         "%");
-  record("scoreboard", "signguard_attack_delta",
-         out.signguard_noattack - out.signguard_worstcase, "pts");
-  return out;
+  report.row("scoreboard", "multikrum_malicious_pass_static",
+             mk_st.malicious_pass_rate, "");
+  report.row("scoreboard", "multikrum_malicious_pass_adaptive",
+             mk_ad.malicious_pass_rate, "");
+  report.row("scoreboard", "adaptive_gap", adaptive_gap, "pts");
+  report.row("scoreboard", "signguard_worstcase_acc", signguard_worstcase,
+             "%");
+  report.row("scoreboard", "signguard_attack_delta",
+             signguard_noattack - signguard_worstcase, "pts");
+  gates.measure("adaptive-gap", adaptive_gap);
+  gates.measure("signguard-worstcase-acc", signguard_worstcase);
 }
 
 // ---- wirecraft: the duel on a sign1 wire -----------------------------------
@@ -178,22 +149,22 @@ void bench_wirecraft(std::size_t rounds) {
   }
   Stopwatch w;
   const auto results = run_cells(std::move(specs));
-  record("wirecraft", "wall", w.seconds(), "s");
+  report.row("wirecraft", "wall", w.seconds(), "s");
   for (const char* gar : {"Multi-Krum", "SignGuard"}) {
     const std::string g(gar);
-    record("wirecraft", g + "_noattack",
-           cell(results, "NoAttack", g, false).best_accuracy, "%");
-    record("wirecraft", g + "_static",
-           cell(results, "MinMax", g, false).best_accuracy, "%");
-    record("wirecraft", g + "_adaptive",
-           cell(results, "MinMax", g, true).best_accuracy, "%");
-    record("wirecraft", g + "_adaptive_wirecraft",
-           cell(results, "MinMax", g, true, true).best_accuracy, "%");
+    report.row("wirecraft", g + "_noattack",
+               cell(results, "NoAttack", g, false).best_accuracy, "%");
+    report.row("wirecraft", g + "_static",
+               cell(results, "MinMax", g, false).best_accuracy, "%");
+    report.row("wirecraft", g + "_adaptive",
+               cell(results, "MinMax", g, true).best_accuracy, "%");
+    report.row("wirecraft", g + "_adaptive_wirecraft",
+               cell(results, "MinMax", g, true, true).best_accuracy, "%");
     // Wire-legality: a crafted uplink the decoder rejects would show up
     // here; the corpus property is separately pinned by tests/test_comm.
-    record("wirecraft", g + "_crafted_decode_rejects",
-           double(cell(results, "MinMax", g, true, true).decode_rejects),
-           "uplinks");
+    report.row("wirecraft", g + "_crafted_decode_rejects",
+               double(cell(results, "MinMax", g, true, true).decode_rejects),
+               "uplinks");
   }
 }
 
@@ -253,7 +224,7 @@ void bench_craft_cost() {
       fb.selected_byzantine = rep % 2 == 0 ? kByz : 0;
       c.attack->observe_round(fb);
     }
-    record("craft", c.name, w.seconds() * 1e3 / double(kReps), "ms/round");
+    report.row("craft", c.name, w.seconds() * 1e3 / double(kReps), "ms/round");
   }
 }
 
@@ -267,35 +238,19 @@ int main(int argc, char** argv) {
   // across machines with different core counts; determinism across
   // thread counts is separately pinned by tests/test_adaptive.cc.
   common::set_thread_count(1);
+  gates = bench::Gates(
+      argc, argv,
+      {{"adaptive-gap", bench::Bound::kFloor,
+        "adaptive gap, pts: the feedback loop no longer breaks any baseline "
+        "GAR"},
+       {"signguard-worstcase-acc", bench::Bound::kFloor,
+        "SignGuard worst-case accuracy, %: the defense lost the arms race"}});
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_attack.json");
-  const std::size_t rounds = std::strtoull(
-      bench::arg_value(argc, argv, "rounds", "40").c_str(), nullptr, 10);
+  const std::size_t rounds = bench::count_arg(argc, argv, "rounds", 40);
 
-  const ScoreboardOutcome sb = bench_scoreboard(rounds);
+  bench_scoreboard(rounds);
   bench_wirecraft(rounds);
   bench_craft_cost();
-  write_json(json_path);
-
-  bool ok = true;
-  const std::string gap_floor =
-      bench::arg_value(argc, argv, "assert-adaptive-gap");
-  if (!gap_floor.empty() && sb.adaptive_gap < std::atof(gap_floor.c_str())) {
-    std::fprintf(stderr,
-                 "FAIL: adaptive gap %.2f pts < asserted floor %s — the "
-                 "feedback loop no longer breaks any baseline GAR\n",
-                 sb.adaptive_gap, gap_floor.c_str());
-    ok = false;
-  }
-  const std::string acc_floor =
-      bench::arg_value(argc, argv, "assert-signguard-worstcase-acc");
-  if (!acc_floor.empty() &&
-      sb.signguard_worstcase < std::atof(acc_floor.c_str())) {
-    std::fprintf(stderr,
-                 "FAIL: SignGuard worst-case accuracy %.2f%% < asserted "
-                 "floor %s%% — the defense lost the arms race\n",
-                 sb.signguard_worstcase, acc_floor.c_str());
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  return bench::finish(report, json_path, gates);
 }

@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -52,23 +51,11 @@ namespace {
 // best-of-repeats until the budget is spent.
 obs::StopwatchReporter timer(120.0, /*warmup=*/1);
 
-struct Entry {
-  std::string group, codec;
-  std::size_t d = 0;
-  std::size_t threads = 1;
-  double usec = 0.0;
-  double rate = 0.0;  // GB/s for throughput rows, x-factor for ratios
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& codec,
-            std::size_t d, std::size_t threads, double usec, double rate,
-            const char* unit) {
-  entries.push_back({group, codec, d, threads, usec, rate});
-  std::printf("%-14s %-6s d=%-8zu t=%zu %12.1f us  %8.3f %s\n", group.c_str(),
-              codec.c_str(), d, threads, usec, rate, unit);
-}
+// rate: GB/s for throughput rows, x-factor for ratios. Threads vary per
+// row, so there is no "threads" header.
+bench::Report report("signguard/comm_microbench/v2",
+                     {"group", "codec", "d", "threads", "usec", "rate"});
+bench::Gates gates;  // read from argv in main
 
 // Deterministic cheap fill (splitmix64 of the index): bench inputs must
 // not depend on RNG streaming speed, and stay identical across hosts.
@@ -89,12 +76,7 @@ std::vector<float> make_row(std::size_t d) {
   return row;
 }
 
-struct CodecNumbers {
-  double ratio = 0.0;
-  double decode_gbps = 0.0;
-};
-
-CodecNumbers bench_codec(comm::CodecKind kind, std::size_t d) {
+void bench_codec(comm::CodecKind kind, std::size_t d) {
   comm::CompressionSpec spec;
   spec.codec = kind;
   const auto codec = comm::make_codec(spec);
@@ -107,25 +89,28 @@ CodecNumbers bench_codec(comm::CodecKind kind, std::size_t d) {
   common::set_thread_count(1);
   const double enc_usec = timer.time_usec(
       [&] { comm::encode_into(*codec, row, buf, scratch); });
-  record("encode", codec->name(), d, 1, enc_usec,
-         dense_gb / (enc_usec * 1e-6), "GB/s");
+  report.row("encode", codec->name(), d, 1, enc_usec,
+             dense_gb / (enc_usec * 1e-6));
   const auto decode_op = [&] {
     if (comm::decode_into(*codec, buf, out) != comm::DecodeStatus::kOk)
       std::abort();
   };
   const double dec_usec = timer.time_usec(decode_op);
   const double dec_gbps = dense_gb / (dec_usec * 1e-6);
-  record("decode", codec->name(), d, 1, dec_usec, dec_gbps, "GB/s");
+  report.row("decode", codec->name(), d, 1, dec_usec, dec_gbps);
   // Pool-threaded decode of the same buffer: chunk records fan out over
   // the pool into disjoint coordinate ranges (bitwise-identical rows).
   common::set_thread_count(4);
   const double dec4_usec = timer.time_usec(decode_op);
-  record("decode", codec->name(), d, 4, dec4_usec,
-         dense_gb / (dec4_usec * 1e-6), "GB/s");
+  report.row("decode", codec->name(), d, 4, dec4_usec,
+             dense_gb / (dec4_usec * 1e-6));
   common::set_thread_count(1);
   const double ratio = double(d) * 4.0 / double(buf.size());
-  record("ratio", codec->name(), d, 1, 0.0, ratio, "x");
-  return {ratio, dec_gbps};
+  report.row("ratio", codec->name(), d, 1, 0.0, ratio);
+  if (kind == comm::CodecKind::kSign1 && d == 1'000'000) {
+    gates.measure("sign1-ratio", ratio);
+    gates.measure("sign1-decode-gbps", dec_gbps);
+  }
 }
 
 // The compressed-domain statistics kernels over a small cohort: the
@@ -155,28 +140,23 @@ void bench_wire_stats(comm::CodecKind kind, std::size_t d) {
     common::set_thread_count(threads);
     const double norm_usec =
         timer.time_usec([&] { (void)comm::wire_row_norms(wire); });
-    record("norms", codec->name(), d, threads, norm_usec,
-           dense_gb / (norm_usec * 1e-6), "GB/s");
+    report.row("norms", codec->name(), d, threads, norm_usec,
+               dense_gb / (norm_usec * 1e-6));
     const double sign_usec =
         timer.time_usec([&] { (void)comm::wire_sign_stats(wire, mask); });
-    record("signstats", codec->name(), d, threads, sign_usec,
-           dense_gb / (sign_usec * 1e-6), "GB/s");
+    report.row("signstats", codec->name(), d, threads, sign_usec,
+               dense_gb / (sign_usec * 1e-6));
     if (kind == comm::CodecKind::kSign1) {
       // The popcount pass's traffic in *wire* bytes: per row the packed
       // sign bits plus the shared coordinate mask.
       const double wire_gb =
           double(n) * 2.0 * (double(d) / 8.0) / 1e9;
-      record("signstats-wire", codec->name(), d, threads, sign_usec,
-             wire_gb / (sign_usec * 1e-6), "GB/s");
+      report.row("signstats-wire", codec->name(), d, threads, sign_usec,
+                 wire_gb / (sign_usec * 1e-6));
     }
   }
   common::set_thread_count(1);
 }
-
-struct WirePathNumbers {
-  double filter_bytes_ratio = 0.0;
-  double speedup = 0.0;  // threads=1 round wall-clock, decode/wire
-};
 
 // The tentpole cell: one SignGuard aggregation round at cohort scale
 // (n=256 clients, d=1M, sign1), ~20% adversarial rows (half sign-flipped
@@ -189,7 +169,7 @@ struct WirePathNumbers {
 // The two are bitwise-identical by contract (checked here with fresh
 // same-seed instances before timing; the test suite pins it down across
 // the full codec/attack grid).
-WirePathNumbers bench_filtered_round() {
+void bench_filtered_round() {
   const std::size_t n = 256, d = 1'000'000;
   const std::size_t n_byz = n / 5;  // 51 adversarial rows
   comm::CompressionSpec spec;
@@ -242,7 +222,6 @@ WirePathNumbers bench_filtered_round() {
   std::printf("filtered round: n=%zu d=%zu byz=%zu -> trusted=%zu\n", n, d,
               n_byz, n_selected);
 
-  WirePathNumbers out;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     common::set_thread_count(threads);
     core::SignGuard sg_dec(core::plain_config(9));
@@ -251,16 +230,16 @@ WirePathNumbers bench_filtered_round() {
       (void)sg_dec.aggregate(grads, ctx);
     });
     const double dense_gb = double(n) * double(d) * 4.0 / 1e9;
-    record("round-decode", "sign1", d, threads, dec_usec,
-           dense_gb / (dec_usec * 1e-6), "GB/s");
+    report.row("round-decode", "sign1", d, threads, dec_usec,
+               dense_gb / (dec_usec * 1e-6));
     core::SignGuard sg_wire(core::plain_config(9));
     const double wire_usec =
         timer.time_usec([&] { (void)sg_wire.aggregate_wire(wire, ctx); });
-    record("round-wire", "sign1", d, threads, wire_usec,
-           dense_gb / (wire_usec * 1e-6), "GB/s");
+    report.row("round-wire", "sign1", d, threads, wire_usec,
+               dense_gb / (wire_usec * 1e-6));
     const double speedup = dec_usec / wire_usec;
-    record("round-speedup", "sign1", d, threads, 0.0, speedup, "x");
-    if (threads == 1) out.speedup = speedup;
+    report.row("round-speedup", "sign1", d, threads, 0.0, speedup);
+    if (threads == 1) gates.measure("wirepath-speedup", speedup);
   }
   common::set_thread_count(1);
 
@@ -282,38 +261,9 @@ WirePathNumbers bench_filtered_round() {
   const auto layout = comm::wire_layout(*codec, d);
   const double wire_filter =
       double(n) * (4.0 * double(layout.n_chunks) + 2.0 * double(d) / 8.0);
-  out.filter_bytes_ratio = decode_filter / wire_filter;
-  record("filter-bytes", "sign1", d, 1, 0.0, out.filter_bytes_ratio, "x");
-  return out;
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"schema\": \"signguard/comm_microbench/v2\",\n"
-      << "  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"codec\": \"" << e.codec
-        << "\", \"d\": " << e.d << ", \"threads\": " << e.threads
-        << ", \"usec\": " << obs::StopwatchReporter::json_num(e.usec)
-        << ", \"rate\": " << obs::StopwatchReporter::json_num(e.rate) << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
-
-bool check_min(const char* what, double got, const std::string& need_arg,
-               const char* unit) {
-  if (need_arg.empty()) return true;
-  const double need = std::stod(need_arg);
-  if (got < need) {
-    std::fprintf(stderr, "FAIL: %s %.2f%s < required %.2f%s\n", what, got,
-                 unit, need, unit);
-    return false;
-  }
-  std::printf("%s %.2f%s >= required %.2f%s\n", what, got, unit, need, unit);
-  return true;
+  const double filter_bytes_ratio = decode_filter / wire_filter;
+  report.row("filter-bytes", "sign1", d, 1, 0.0, filter_bytes_ratio);
+  gates.measure("wirepath-filter-bytes", filter_bytes_ratio);
 }
 
 }  // namespace
@@ -323,38 +273,29 @@ int main(int argc, char** argv) {
   using namespace signguard;
   std::printf("== comm_microbench ==\n");
   common::set_thread_count(1);
-  timer.set_min_ms(
-      std::stod(bench::arg_value(argc, argv, "min-ms", "120")));
+  gates = bench::Gates(
+      argc, argv,
+      {{"sign1-ratio", bench::Bound::kFloor, "sign1 compression ratio, x"},
+       {"sign1-decode-gbps", bench::Bound::kFloor,
+        "sign1 single-thread decode, GB/s"},
+       {"wirepath-filter-bytes", bench::Bound::kFloor,
+        "wire-path filter-bytes advantage, x"},
+       {"wirepath-speedup", bench::Bound::kFloor,
+        "wire-path filtered-round speedup, x"}});
+  timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 120));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_comm.json");
 
-  CodecNumbers sign1_1m;
   for (const std::size_t d : {std::size_t{100'000}, std::size_t{1'000'000}}) {
     for (const auto kind :
          {comm::CodecKind::kNone, comm::CodecKind::kSign1,
-          comm::CodecKind::kInt8, comm::CodecKind::kTopK}) {
-      const CodecNumbers n = bench_codec(kind, d);
-      if (kind == comm::CodecKind::kSign1 && d == 1'000'000) sign1_1m = n;
-    }
+          comm::CodecKind::kInt8, comm::CodecKind::kTopK})
+      bench_codec(kind, d);
   }
   for (const auto kind :
        {comm::CodecKind::kNone, comm::CodecKind::kSign1,
         comm::CodecKind::kInt8, comm::CodecKind::kTopK})
     bench_wire_stats(kind, 1'000'000);
-  const WirePathNumbers wp = bench_filtered_round();
-  write_json(json_path);
-
-  bool ok = true;
-  ok &= check_min("sign1 compression ratio", sign1_1m.ratio,
-                  bench::arg_value(argc, argv, "assert-sign1-ratio", ""), "x");
-  ok &= check_min(
-      "sign1 decode", sign1_1m.decode_gbps,
-      bench::arg_value(argc, argv, "assert-sign1-decode-gbps", ""), " GB/s");
-  ok &= check_min(
-      "wire-path filter-bytes advantage", wp.filter_bytes_ratio,
-      bench::arg_value(argc, argv, "assert-wirepath-filter-bytes", ""), "x");
-  ok &= check_min("wire-path filtered-round speedup", wp.speedup,
-                  bench::arg_value(argc, argv, "assert-wirepath-speedup", ""),
-                  "x");
-  return ok ? 0 : 1;
+  bench_filtered_round();
+  return bench::finish(report, json_path, gates);
 }

@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,35 +37,9 @@ namespace {
 
 using bench::Stopwatch;
 
-struct Entry {
-  std::string group, name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name, double value,
-            const std::string& unit) {
-  entries.push_back({group, name, value, unit});
-  std::printf("%-12s %-28s %14.4f %s\n", group.c_str(), name.c_str(), value,
-              unit.c_str());
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"schema\": \"signguard/fault_microbench/v1\",\n"
-      << "  \"threads\": " << common::thread_count() << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"value\": " << obs::StopwatchReporter::json_num(e.value)
-        << ", \"unit\": \"" << e.unit << "\"}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
+// Timed on one pool thread (see main).
+bench::Report report("signguard/fault_microbench/v1",
+                     {"group", "name", "value", "unit"}, 1);
 
 data::TrainTest bench_data() {
   data::SynthImageConfig cfg;
@@ -111,22 +84,22 @@ void bench_robustness(const data::TrainTest& tt, std::size_t rounds) {
     const fl::TrainingResult res =
         trainer.run(*attack, fl::make_aggregator("SignGuard", 1), nullptr);
     const double wall_ms = w.seconds() * 1e3;
-    record("robustness", name + "_best_acc", res.best_accuracy, "%");
-    record("robustness", name + "_wall", wall_ms, "ms");
+    report.row("robustness", name + "_best_acc", res.best_accuracy, "%");
+    report.row("robustness", name + "_wall", wall_ms, "ms");
     if (cfg.chaos.active()) {
       const double transmitted = double(rounds * cfg.n_clients) -
                                  double(res.churned_total);
-      record("robustness", name + "_churned", double(res.churned_total),
-             "client-rounds");
-      record("robustness", name + "_deadline_misses",
-             double(res.deadline_miss_total), "uplinks");
-      record("robustness", name + "_lost", double(res.lost_uplink_total),
-             "uplinks");
+      report.row("robustness", name + "_churned", double(res.churned_total),
+                 "client-rounds");
+      report.row("robustness", name + "_deadline_misses",
+                 double(res.deadline_miss_total), "uplinks");
+      report.row("robustness", name + "_lost", double(res.lost_uplink_total),
+                 "uplinks");
       if (transmitted > 0)
-        record("robustness", name + "_attempts_per_uplink",
-               double(res.uplink_attempts) / transmitted, "x");
-      record("robustness", name + "_sim_round_time",
-             res.sim_time_ms / double(rounds), "ms");
+        report.row("robustness", name + "_attempts_per_uplink",
+                   double(res.uplink_attempts) / transmitted, "x");
+      report.row("robustness", name + "_sim_round_time",
+                 res.sim_time_ms / double(rounds), "ms");
     }
   }
 }
@@ -146,17 +119,17 @@ void bench_engine() {
   for (std::size_t i = 0; i < kQueries; ++i)
     sink = sink +
            engine.simulate_uplink(i % kClients, i / kClients).elapsed_ms;
-  record("engine", "simulate_uplink", double(kQueries) / wu.seconds() / 1e6,
-         "Mqueries/s");
+  report.row("engine", "simulate_uplink", double(kQueries) / wu.seconds() / 1e6,
+             "Mqueries/s");
   // Churn lookups hit the lazily built per-client schedule cache after
   // the first touch — this measures the steady-state (cached) rate.
   std::size_t up = 0;
   Stopwatch wc;
   for (std::size_t i = 0; i < kQueries; ++i)
     up += engine.client_up(i % kClients, i / kClients) ? 1 : 0;
-  record("engine", "client_up", double(kQueries) / wc.seconds() / 1e6,
-         "Mqueries/s");
-  record("engine", "client_up_fraction", double(up) / double(kQueries), "");
+  report.row("engine", "client_up", double(kQueries) / wc.seconds() / 1e6,
+             "Mqueries/s");
+  report.row("engine", "client_up_fraction", double(up) / double(kQueries), "");
 }
 
 // ---- checkpoint file I/O ---------------------------------------------------
@@ -180,8 +153,8 @@ void bench_checkpoint_io() {
     std::fprintf(stderr, "FAIL: checkpoint payload round-trip mismatch\n");
     std::exit(1);
   }
-  record("checkpoint", "save", mb / save_s, "MB/s");
-  record("checkpoint", "restore", mb / load_s, "MB/s");
+  report.row("checkpoint", "save", mb / save_s, "MB/s");
+  report.row("checkpoint", "restore", mb / load_s, "MB/s");
 }
 
 // ---- kill + resume self-check ----------------------------------------------
@@ -236,9 +209,9 @@ bool bench_recovery(const data::TrainTest& tt, std::size_t rounds) {
   stitched.insert(stitched.end(), resumed.begin(), resumed.end());
   const bool ok = stitched == ref && killed.size() == kill_at &&
                   resumed.size() == rounds - durable;
-  record("recovery", "kill_run_wall", killed_ms, "ms");
-  record("recovery", "resume_run_wall", resumed_ms, "ms");
-  record("recovery", "bitwise_identical", ok ? 1.0 : 0.0, "");
+  report.row("recovery", "kill_run_wall", killed_ms, "ms");
+  report.row("recovery", "resume_run_wall", resumed_ms, "ms");
+  report.row("recovery", "bitwise_identical", ok ? 1.0 : 0.0, "");
   if (!ok)
     std::fprintf(stderr,
                  "FAIL: kill+resume trace diverges from the uninterrupted "
@@ -259,14 +232,12 @@ int main(int argc, char** argv) {
   common::set_thread_count(1);
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_fault.json");
-  const std::size_t rounds = std::strtoull(
-      bench::arg_value(argc, argv, "rounds", "16").c_str(), nullptr, 10);
+  const std::size_t rounds = bench::count_arg(argc, argv, "rounds", 16);
 
   const data::TrainTest tt = bench_data();
   bench_robustness(tt, rounds);
   bench_engine();
   bench_checkpoint_io();
   const bool ok = bench_recovery(tt, rounds);
-  write_json(json_path);
-  return ok ? 0 : 1;
+  return bench::finish(report, json_path, {}, ok);
 }

@@ -31,13 +31,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/gradient_matrix.h"
-#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/signguard.h"
@@ -48,50 +45,8 @@ namespace {
 
 obs::StopwatchReporter timer(200.0);
 
-struct Entry {
-  std::string group, name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name, double value,
-            const std::string& unit) {
-  entries.push_back({group, name, value, unit});
-  std::printf("%-12s %-28s %14.4f %s\n", group.c_str(), name.c_str(), value,
-              unit.c_str());
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"schema\": \"signguard/obs_microbench/v1\",\n"
-      << "  \"threads\": 1,\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"value\": " << obs::StopwatchReporter::json_num(e.value)
-        << ", \"unit\": \"" << e.unit << "\"}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
-
-// Same deterministic fill as aggregate_microbench: inputs must not
-// depend on RNG streaming speed.
-common::GradientMatrix make_matrix(std::size_t n, std::size_t d) {
-  common::GradientMatrix m(n, d);
-  common::parallel_for(n, [&](std::size_t i) {
-    const auto row = m.row(i);
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::uint64_t h = common::splitmix64(i * d + j);
-      row[j] = static_cast<float>((double(h >> 11) * 0x1.0p-53 - 0.5) * 2.0 +
-                                  0.1);
-    }
-  });
-  return m;
-}
+bench::Report report("signguard/obs_microbench/v1",
+                     {"group", "name", "value", "unit"}, 1);
 
 // Per-call cost of `op` in nanoseconds, amortized over a batch large
 // enough that the stopwatch quantization vanishes.
@@ -110,15 +65,15 @@ double per_call_ns(F&& op) {
 int main(int argc, char** argv) {
   using namespace signguard;
   bench::banner("obs_microbench", fl::scale_from_env());
-  timer.set_min_ms(std::stod(bench::arg_value(argc, argv, "min-ms", "200")));
+  bench::Gates gates(argc, argv,
+                     {{"disabled-overhead-pct", bench::Bound::kCeiling,
+                       "analytic disabled-path overhead bound, %: "
+                       "instrumentation is no longer free when off"}});
+  timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 200));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_obs.json");
-  const std::string assert_arg =
-      bench::arg_value(argc, argv, "assert-disabled-overhead-pct", "");
-  const std::size_t n = std::strtoull(
-      bench::arg_value(argc, argv, "n", "256").c_str(), nullptr, 10);
-  const std::size_t d = std::strtoull(
-      bench::arg_value(argc, argv, "d", "1000000").c_str(), nullptr, 10);
+  const std::size_t n = bench::count_arg(argc, argv, "n", 256);
+  const std::size_t d = bench::count_arg(argc, argv, "d", 1'000'000);
 
   common::set_thread_count(1);
   obs::set_trace_enabled(false);
@@ -129,12 +84,12 @@ int main(int argc, char** argv) {
     obs::count(obs::Counter::kGemmFlops, 1);
     sink = sink + 1;  // the loop body must not be empty after inlining
   });
-  record("primitives", "count_disabled", count_off_ns, "ns/call");
+  report.row("primitives", "count_disabled", count_off_ns, "ns/call");
   const double span_off_ns = per_call_ns([&] {
     obs::Span span("bench/probe");
     sink = sink + 1;
   });
-  record("primitives", "span_disabled", span_off_ns, "ns/call");
+  report.row("primitives", "span_disabled", span_off_ns, "ns/call");
 
   {
     obs::MetricsRegistry reg(false);
@@ -144,7 +99,7 @@ int main(int argc, char** argv) {
       obs::count(obs::Counter::kGemmFlops, 1);
     });
     reg.end_round();
-    record("primitives", "count_enabled", count_on_ns, "ns/call");
+    report.row("primitives", "count_enabled", count_on_ns, "ns/call");
   }
   {
     obs::set_trace_enabled(true);
@@ -153,12 +108,12 @@ int main(int argc, char** argv) {
     });
     obs::set_trace_enabled(false);
     obs::trace_reset();
-    record("primitives", "span_enabled", span_on_ns, "ns/call");
-    record("primitives", "spans_per_sec_enabled", 1e9 / span_on_ns, "/s");
+    report.row("primitives", "span_enabled", span_on_ns, "ns/call");
+    report.row("primitives", "spans_per_sec_enabled", 1e9 / span_on_ns, "/s");
   }
 
   // --- the SignGuard round, three ways ---------------------------------
-  const auto m = make_matrix(n, d);
+  const auto m = bench::fill_matrix(n, d);
   core::SignGuard sg(core::plain_config(7));
   Rng rng(7);
   agg::GarContext ctx;
@@ -170,7 +125,7 @@ int main(int argc, char** argv) {
   };
 
   const double round_off_usec = timer.time_usec(round);
-  record("round", "signguard_obs_off", round_off_usec, "us");
+  report.row("round", "signguard_obs_off", round_off_usec, "us");
 
   // How many obs call sites the round executes: count() invocations from
   // the registry's op counter, spans from a traced run.
@@ -188,7 +143,7 @@ int main(int argc, char** argv) {
     round_counters_usec = timer.time_usec(round);
     reg.end_round();
   }
-  record("round", "signguard_counters_on", round_counters_usec, "us");
+  report.row("round", "signguard_counters_on", round_counters_usec, "us");
   {
     obs::set_trace_enabled(true);
     obs::trace_reset();
@@ -198,34 +153,22 @@ int main(int argc, char** argv) {
     const double round_traced_usec = timer.time_usec(round);
     obs::set_trace_enabled(false);
     obs::trace_reset();
-    record("round", "signguard_trace_on", round_traced_usec, "us");
+    report.row("round", "signguard_trace_on", round_traced_usec, "us");
   }
-  record("round", "count_sites_per_round", double(ops_per_round), "calls");
-  record("round", "span_sites_per_round", double(spans_per_round), "calls");
+  report.row("round", "count_sites_per_round", double(ops_per_round), "calls");
+  report.row("round", "span_sites_per_round", double(spans_per_round), "calls");
 
   // --- the disabled-path bound -----------------------------------------
   const double bound_pct = 100.0 *
                            (double(ops_per_round) * count_off_ns +
                             double(spans_per_round) * span_off_ns) /
                            (round_off_usec * 1e3);
-  record("bound", "disabled_overhead", bound_pct, "%");
+  report.row("bound", "disabled_overhead", bound_pct, "%");
+  gates.measure("disabled-overhead-pct", bound_pct);
   // The measured delta: honest but noisy, reported, never asserted.
-  record("bound", "counters_on_delta",
-         100.0 * (round_counters_usec - round_off_usec) / round_off_usec,
-         "%");
+  report.row("bound", "counters_on_delta",
+             100.0 * (round_counters_usec - round_off_usec) / round_off_usec,
+             "%");
 
-  write_json(json_path);
-
-  if (!assert_arg.empty()) {
-    const double need = std::stod(assert_arg);
-    if (bound_pct > need) {
-      std::fprintf(stderr,
-                   "FAIL: disabled-path overhead bound %.4f%% > %.2f%%\n",
-                   bound_pct, need);
-      return 1;
-    }
-    std::printf("disabled-path overhead bound %.4f%% <= %.2f%%\n", bound_pct,
-                need);
-  }
-  return 0;
+  return bench::finish(report, json_path, gates);
 }

@@ -36,11 +36,8 @@
 // exceeds the cap — the CI guard that sharding keeps the flagship
 // defense inside a round budget the flat path already cannot meet.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,31 +62,18 @@ using bench::Stopwatch;
 // budget is spent.
 obs::StopwatchReporter timer(200.0);
 
-struct Entry {
-  std::string group, name;
-  std::size_t n = 0, d = 0, shards = 0;
-  double usec = 0.0;
-  double rate = 0.0;  // rounds/s, speedup factor, or the estimate value
-};
+// rate: rounds/s, speedup factor, or the estimate value.
+bench::Report report("signguard/shard_microbench/v1",
+                     {"group", "name", "n", "d", "shards", "usec", "rate"},
+                     1);
 
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name, std::size_t n,
-            std::size_t d, std::size_t shards, double usec, double rate) {
-  entries.push_back({group, name, n, d, shards, usec, rate});
-  std::printf("%-10s %-22s n=%-6zu d=%-7zu S=%-4zu %14.1f us  %12.4g\n",
-              group.c_str(), name.c_str(), n, d, shards, usec, rate);
-}
-
-// Deterministic cheap fill, identical to aggregate_microbench: the value
-// of global client `i`, coordinate `j` depends only on (i, j), so the
-// streaming tier can regenerate any shard's rows without a flat matrix.
-// Clients with id % 5 == 4 are Byzantine and send -10x their honest row
-// — large-norm collinear poison the per-shard Multi-Krum must drop.
+// bench::fill_value rows: the value of global client `i`, coordinate `j`
+// depends only on (i, j), so the streaming tier can regenerate any
+// shard's rows without a flat matrix. Clients with id % 5 == 4 are
+// Byzantine and send -10x their honest row — large-norm collinear poison
+// the per-shard Multi-Krum must drop.
 float client_value(std::size_t i, std::size_t j, std::size_t d) {
-  const std::uint64_t h = common::splitmix64(i * d + j);
-  const float v = static_cast<float>(
-      (double(h >> 11) * 0x1.0p-53 - 0.5) * 2.0 + 0.1);
+  const float v = bench::fill_value(i, j, d);
   return i % 5 == 4 ? -10.0f * v : v;
 }
 
@@ -188,11 +172,11 @@ bool run_streaming_round(std::size_t n, std::size_t d, std::size_t S) {
                  n, err, ref);
     return false;
   }
-  record("stream", "generate", n, d, S, gen_sec * 1e6, double(n) / gen_sec);
-  record("stream", "multikrum_round", n, d, S, agg_sec * 1e6,
-         double(n) / agg_sec);
-  record("stream", "round_total", n, d, S, total_sec * 1e6,
-         1.0 / total_sec);
+  report.row("stream", "generate", n, d, S, gen_sec * 1e6, double(n) / gen_sec);
+  report.row("stream", "multikrum_round", n, d, S, agg_sec * 1e6,
+             double(n) / agg_sec);
+  report.row("stream", "round_total", n, d, S, total_sec * 1e6,
+             1.0 / total_sec);
 
   // What the flat path would need for the same round: the pairwise block
   // alone is (n^2/2) d multiply-adds and an (n^2/2) float triangle, both
@@ -202,31 +186,14 @@ bool run_streaming_round(std::size_t n, std::size_t d, std::size_t S) {
   const double shard_madds = double(S) * 0.5 * double(per) * double(per) *
                              double(d);
   const double flat_proj_sec = agg_sec * flat_madds / shard_madds;
-  record("estimate", "flat_pairwise_madds", n, d, 1, 0.0, flat_madds);
-  record("estimate", "flat_triangle_gb", n, d, 1, 0.0,
-         0.5 * double(n) * double(n) * 4.0 / 1e9);
-  record("estimate", "flat_matrix_gb", n, d, 1, 0.0,
-         double(n) * double(d) * 4.0 / 1e9);
-  record("estimate", "flat_projected_sec", n, d, 1, flat_proj_sec * 1e6,
-         flat_proj_sec);
+  report.row("estimate", "flat_pairwise_madds", n, d, 1, 0.0, flat_madds);
+  report.row("estimate", "flat_triangle_gb", n, d, 1, 0.0,
+             0.5 * double(n) * double(n) * 4.0 / 1e9);
+  report.row("estimate", "flat_matrix_gb", n, d, 1, 0.0,
+             double(n) * double(d) * 4.0 / 1e9);
+  report.row("estimate", "flat_projected_sec", n, d, 1, flat_proj_sec * 1e6,
+             flat_proj_sec);
   return true;
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"schema\": \"signguard/shard_microbench/v1\",\n"
-      << "  \"threads\": 1,\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"n\": " << e.n << ", \"d\": " << e.d
-        << ", \"shards\": " << e.shards
-        << ", \"usec\": " << obs::StopwatchReporter::json_num(e.usec)
-        << ", \"rate\": " << obs::StopwatchReporter::json_num(e.rate) << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
 }
 
 }  // namespace
@@ -235,16 +202,16 @@ void write_json(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace signguard;
   bench::banner("shard_microbench", fl::scale_from_env());
-  timer.set_min_ms(
-      std::stod(bench::arg_value(argc, argv, "min-ms", "200")));
+  bench::Gates gates(argc, argv,
+                     {{"multikrum-4096-sec", bench::Bound::kCeiling,
+                       "sharded Multi-Krum n=4096 round, s: sharding no "
+                       "longer keeps the round inside its budget"}});
+  timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 200));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_shard.json");
-  const std::string assert_arg =
-      bench::arg_value(argc, argv, "assert-multikrum-4096-sec", "");
-  const auto gar_filter = bench::arg_values(argc, argv, "gars");
-  const std::size_t max_clients = std::strtoull(
-      bench::arg_value(argc, argv, "max-clients", "65536").c_str(), nullptr,
-      10);
+  const auto gar_filter = bench::csv_values(argc, argv, "gars");
+  const std::size_t max_clients =
+      bench::count_arg(argc, argv, "max-clients", 65536);
 
   // Every timed cell runs on one pool thread (see the header comment).
   common::set_thread_count(1);
@@ -264,19 +231,18 @@ int main(int argc, char** argv) {
         auto out = flat->aggregate(m, ctx);
         if (out.empty()) std::abort();
       });
-      record("flatvs", "multikrum_flat", n, d, 1, flat_usec,
-             1e6 / flat_usec);
+      report.row("flatvs", "multikrum_flat", n, d, 1, flat_usec,
+                 1e6 / flat_usec);
       auto sharded = make_sharded("Multi-Krum", S);
       const double shard_usec = time_sharded(sharded, m, n / 5 + 1);
-      record("flatvs", "multikrum_sharded", n, d, S, shard_usec,
-             1e6 / shard_usec);
-      record("flatvs", "speedup", n, d, S, shard_usec,
-             flat_usec / shard_usec);
+      report.row("flatvs", "multikrum_sharded", n, d, S, shard_usec,
+                 1e6 / shard_usec);
+      report.row("flatvs", "speedup", n, d, S, shard_usec,
+                 flat_usec / shard_usec);
     }
   }
 
   // --- tier 2: end-to-end sharded rounds at n=4096 ---
-  double multikrum_4096_sec = 0.0;
   {
     const std::size_t n = 4096, d = 100'000, S = 16;
     common::GradientMatrix m(n, d);
@@ -285,8 +251,9 @@ int main(int argc, char** argv) {
       if (!bench::keep(gar_filter, gar)) continue;
       auto sharded = make_sharded(gar, S);
       const double usec = time_sharded(sharded, m, n / 5 + 1);
-      record("sharded", gar, n, d, S, usec, 1e6 / usec);
-      if (std::string(gar) == "Multi-Krum") multikrum_4096_sec = usec / 1e6;
+      report.row("sharded", gar, n, d, S, usec, 1e6 / usec);
+      if (std::string(gar) == "Multi-Krum")
+        gates.measure("multikrum-4096-sec", usec / 1e6);
     }
 
     // Wire cell: encode the round once (sign1), then route each shard's
@@ -302,7 +269,7 @@ int main(int argc, char** argv) {
         comm::encode_into(*codec, m.row(i), uplinks[i], scratch);
       });
     });
-    record("wire", "sign1_encode_round", n, d, 1, enc_usec, 1e6 / enc_usec);
+    report.row("wire", "sign1_encode_round", n, d, 1, enc_usec, 1e6 / enc_usec);
 
     std::vector<std::size_t> ids;
     common::GradientMatrix shard_mat;
@@ -318,8 +285,8 @@ int main(int argc, char** argv) {
       }
       if (rejected != 0) std::abort();  // honest round: all must decode
     });
-    record("wire", "sign1_decode_shards", n, d, S, dec_usec,
-           1e6 / dec_usec);
+    report.row("wire", "sign1_decode_shards", n, d, S, dec_usec,
+               1e6 / dec_usec);
   }
 
   // --- tier 3: the cohort size the flat path cannot run ---
@@ -355,23 +322,9 @@ int main(int argc, char** argv) {
                    (unsigned long long)sums[0], (unsigned long long)sums[1]);
       ok = false;
     }
-    record("invariance", "threads_1_vs_4", n, d, S, 0.0,
-           sums[0] == sums[1] ? 1.0 : 0.0);
+    report.row("invariance", "threads_1_vs_4", n, d, S, 0.0,
+               sums[0] == sums[1] ? 1.0 : 0.0);
   }
 
-  write_json(json_path);
-
-  if (!assert_arg.empty()) {
-    const double cap = std::stod(assert_arg);
-    if (multikrum_4096_sec <= 0.0 || multikrum_4096_sec > cap) {
-      std::fprintf(stderr,
-                   "FAIL: sharded Multi-Krum n=4096 round took %.2fs > "
-                   "cap %.2fs (or did not run)\n",
-                   multikrum_4096_sec, cap);
-      return 1;
-    }
-    std::printf("multikrum n=4096 sharded round %.2fs <= cap %.2fs\n",
-                multikrum_4096_sec, cap);
-  }
-  return ok ? 0 : 1;
+  return bench::finish(report, json_path, gates, ok);
 }

@@ -13,10 +13,12 @@
 // prints the expanded scenario ids without running anything.
 // Scale via SIGNGUARD_SCALE=smoke|default|full (rounds=0 resolves to it).
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
+#include <string_view>
 
 #include "bench_common.h"
 #include "common/parallel.h"
@@ -100,23 +102,32 @@ canonical id order, bit-identical for any SIGNGUARD_THREADS.
                profiles.c_str());
 }
 
-std::vector<double> parse_skews(const std::vector<std::string>& items) {
-  std::vector<double> out;
-  for (const auto& s : items)
-    out.push_back(s == "iid" ? fl::kIidSkew : std::atof(s.c_str()));
+// Every item of the comma list --key (`fallback` when absent) through
+// `parse`; an empty list or an item `parse` rejects exits 2 naming the
+// flag. Names (attacks, GARs, codecs, faults) pass through unchecked:
+// an unknown one surfaces per scenario in the results.
+template <class Parse>
+auto list_arg(int argc, char** argv, const std::string& key,
+              const std::string& fallback, Parse parse,
+              const char* expected = "a non-empty list") {
+  const std::string list = bench::arg_value(argc, argv, key, fallback);
+  std::vector<typename decltype(parse(std::string_view{}))::value_type> out;
+  for (const auto& item : bench::split_csv(list)) {
+    const auto v = parse(item);
+    if (!v) bench::usage_error(key, list, expected);
+    out.push_back(*v);
+  }
+  if (out.empty()) bench::usage_error(key, list, expected);
   return out;
 }
 
-std::vector<double> parse_doubles(const std::vector<std::string>& items) {
-  std::vector<double> out;
-  for (const auto& s : items) out.push_back(std::atof(s.c_str()));
-  return out;
+std::optional<std::string> parse_name(std::string_view s) {
+  return std::string(s);
 }
 
-std::vector<bool> parse_bools(const std::vector<std::string>& items) {
-  std::vector<bool> out;
-  for (const auto& s : items) out.push_back(s != "0" && s != "false");
-  return out;
+std::optional<double> parse_skew(std::string_view s) {
+  if (s == "iid") return fl::kIidSkew;
+  return bench::parse_number(s);
 }
 
 // Every defense from the paper's Table I, in its row order — the
@@ -184,8 +195,8 @@ int main(int argc, char** argv) {
   fl::SweepGrid grid;
   grid.workloads.clear();
   try {
-    for (const auto& name : bench::split_csv(
-             bench::arg_value(argc, argv, "workloads", "MNIST-like")))
+    for (const auto& name :
+         list_arg(argc, argv, "workloads", "MNIST-like", parse_name))
       grid.workloads.push_back(fl::workload_kind_from_name(name));
   } catch (const std::exception& e) {
     // Unknown attack/GAR names surface per scenario in the results; a
@@ -211,68 +222,55 @@ int main(int argc, char** argv) {
   }
   grid.profile = model == "paper" ? fl::ModelProfile::kPaper
                                   : fl::ModelProfile::kGrid;
-  grid.attacks = bench::split_csv(
-      bench::arg_value(argc, argv, "attacks", "NoAttack,SignFlip,LIE,ByzMean"));
-  grid.gars = expand_gars(bench::split_csv(
-      bench::arg_value(argc, argv, "gars", "Mean,Median,SignGuard")));
-  grid.skews =
-      parse_skews(bench::split_csv(bench::arg_value(argc, argv, "skews",
-                                                    "iid,0.5")));
+  constexpr const char* kNumbers = "a list of finite numbers";
+  constexpr const char* kCounts = "a list of non-negative integers";
+  constexpr const char* kBools = "a list of 0|1|false|true";
+  grid.attacks = list_arg(argc, argv, "attacks",
+                          "NoAttack,SignFlip,LIE,ByzMean", parse_name);
+  grid.gars = expand_gars(
+      list_arg(argc, argv, "gars", "Mean,Median,SignGuard", parse_name));
+  grid.skews = list_arg(argc, argv, "skews", "iid,0.5", parse_skew,
+                        "a list of iid or finite numbers");
   grid.byzantine_fracs =
-      parse_doubles(bench::split_csv(bench::arg_value(argc, argv, "byz",
-                                                      "0.2")));
-  grid.participations = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "participation", "1.0")));
-  grid.dropout_probs = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "dropout", "0.0")));
-  grid.straggler_probs = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "straggler", "0.0")));
+      list_arg(argc, argv, "byz", "0.2", bench::parse_number, kNumbers);
+  grid.participations = list_arg(argc, argv, "participation", "1.0",
+                                 bench::parse_number, kNumbers);
+  grid.dropout_probs =
+      list_arg(argc, argv, "dropout", "0.0", bench::parse_number, kNumbers);
+  grid.straggler_probs =
+      list_arg(argc, argv, "straggler", "0.0", bench::parse_number, kNumbers);
   // Compression axis: unknown codec names surface per scenario in the
   // results (like attack/GAR typos), so no up-front validation here.
-  grid.codecs =
-      bench::split_csv(bench::arg_value(argc, argv, "codecs", "none"));
-  grid.codec_chunk = std::strtoull(
-      bench::arg_value(argc, argv, "codec-chunk", "4096").c_str(), nullptr,
-      10);
-  grid.codec_k = std::atof(
-      bench::arg_value(argc, argv, "codec-k", "0.05").c_str());
+  grid.codecs = list_arg(argc, argv, "codecs", "none", parse_name);
+  grid.codec_chunk = bench::count_arg(argc, argv, "codec-chunk", 4096);
+  grid.codec_k = bench::number_arg(argc, argv, "codec-k", 0.05);
   // Sharding axis: an unknown merge name surfaces per scenario, like a
   // codec typo.
-  grid.shard_counts.clear();
-  for (const auto& s :
-       bench::split_csv(bench::arg_value(argc, argv, "shards", "1")))
-    grid.shard_counts.push_back(std::strtoull(s.c_str(), nullptr, 10));
+  grid.shard_counts =
+      list_arg(argc, argv, "shards", "1", bench::parse_count, kCounts);
   grid.shard_merge = bench::arg_value(argc, argv, "shard-merge", "wmean");
   // Chaos axes: an unknown fault-profile or quorum-action name surfaces
   // per scenario, like a codec typo.
-  grid.faults =
-      bench::split_csv(bench::arg_value(argc, argv, "faults", "none"));
-  grid.deadlines = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "deadline", "0")));
-  grid.churns = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "churn", "0")));
+  grid.faults = list_arg(argc, argv, "faults", "none", parse_name);
+  grid.deadlines =
+      list_arg(argc, argv, "deadline", "0", bench::parse_number, kNumbers);
+  grid.churns =
+      list_arg(argc, argv, "churn", "0", bench::parse_number, kNumbers);
   // Adversary axes (src/attacks/adaptive.h, wirecraft.h): wrappers
   // around each scenario's base attack, gated out of ids/JSONL when off.
-  grid.adaptives = parse_bools(
-      bench::split_csv(bench::arg_value(argc, argv, "adaptive", "0")));
-  grid.wirecrafts = parse_bools(
-      bench::split_csv(bench::arg_value(argc, argv, "wirecraft", "0")));
-  grid.colludes = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "collude", "0")));
-  grid.churn_absence = std::atof(
-      bench::arg_value(argc, argv, "churn-absence", "2.0").c_str());
-  grid.quorum_min = std::strtoull(
-      bench::arg_value(argc, argv, "quorum-min", "0").c_str(), nullptr, 10);
-  grid.quorum_survivors = std::strtoull(
-      bench::arg_value(argc, argv, "quorum-survivors", "0").c_str(), nullptr,
-      10);
+  grid.adaptives =
+      list_arg(argc, argv, "adaptive", "0", bench::parse_bool, kBools);
+  grid.wirecrafts =
+      list_arg(argc, argv, "wirecraft", "0", bench::parse_bool, kBools);
+  grid.colludes =
+      list_arg(argc, argv, "collude", "0", bench::parse_number, kNumbers);
+  grid.churn_absence = bench::number_arg(argc, argv, "churn-absence", 2.0);
+  grid.quorum_min = bench::count_arg(argc, argv, "quorum-min", 0);
+  grid.quorum_survivors = bench::count_arg(argc, argv, "quorum-survivors", 0);
   grid.quorum_action = bench::arg_value(argc, argv, "quorum-action", "cmean");
-  grid.rounds = std::strtoull(
-      bench::arg_value(argc, argv, "rounds", "0").c_str(), nullptr, 10);
-  grid.n_clients = std::strtoull(
-      bench::arg_value(argc, argv, "clients", "0").c_str(), nullptr, 10);
-  grid.seed = std::strtoull(bench::arg_value(argc, argv, "seed", "7").c_str(),
-                            nullptr, 10);
+  grid.rounds = bench::count_arg(argc, argv, "rounds", 0);
+  grid.n_clients = bench::count_arg(argc, argv, "clients", 0);
+  grid.seed = bench::count_arg(argc, argv, "seed", 7);
 
   std::vector<fl::ScenarioSpec> specs = grid.expand();
   std::fprintf(stderr, "== sweep_runner: %zu scenarios ==\n%s\n",
@@ -300,13 +298,9 @@ int main(int argc, char** argv) {
   opts.jsonl = out_path.empty() ? &std::cout
                                 : static_cast<std::ostream*>(&out_file);
   opts.checkpoint_dir = bench::arg_value(argc, argv, "checkpoint-dir");
-  opts.checkpoint_every = std::strtoull(
-      bench::arg_value(argc, argv, "checkpoint-every", "1").c_str(), nullptr,
-      10);
+  opts.checkpoint_every = bench::count_arg(argc, argv, "checkpoint-every", 1);
   opts.resume = bench::has_flag(argc, argv, "resume");
-  opts.halt_after_round = std::strtoull(
-      bench::arg_value(argc, argv, "halt-after-round", "0").c_str(), nullptr,
-      10);
+  opts.halt_after_round = bench::count_arg(argc, argv, "halt-after-round", 0);
   const bool stage_profile = bench::has_flag(argc, argv, "profile");
   opts.obs_counters = bench::has_flag(argc, argv, "obs") || stage_profile;
   opts.obs_timing = stage_profile;
@@ -321,7 +315,15 @@ int main(int argc, char** argv) {
   };
 
   bench::Stopwatch total;
-  const auto results = fl::run_sweep(std::move(specs), opts);
+  std::vector<fl::ScenarioResult> results;
+  try {
+    results = fl::run_sweep(std::move(specs), opts);
+  } catch (const std::invalid_argument& e) {
+    // Repeated scenario ids (e.g. --byz=0.2,0.20): rejected before any
+    // scenario runs.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::size_t failed = 0;
   for (const auto& r : results) failed += r.error.empty() ? 0 : 1;

@@ -14,8 +14,6 @@
 // against a silent fallback to the reference loops.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,25 +36,18 @@ namespace {
 // fastest batch-of-8 average.
 obs::StopwatchReporter timer(80.0, /*warmup=*/1, /*batch=*/8);
 
-struct Entry {
-  std::string group, name, backend;
-  double usec = 0.0;
-  double per_sec = 0.0;
-};
+// rate: runs/s, GFLOP/s for group=gemm, the speedup for group=speedup.
+bench::Report report("signguard/train_microbench/v1",
+                     {"group", "name", "backend", "usec", "rate"},
+                     common::thread_count());
 
-std::vector<Entry> entries;
+const char* backend_name(nn::GemmBackend backend) {
+  return backend == nn::GemmBackend::kTiled ? "tiled" : "ref";
+}
 
 void record(const std::string& group, const std::string& name,
             nn::GemmBackend backend, double usec) {
-  Entry e;
-  e.group = group;
-  e.name = name;
-  e.backend = backend == nn::GemmBackend::kTiled ? "tiled" : "ref";
-  e.usec = usec;
-  e.per_sec = 1e6 / usec;
-  entries.push_back(e);
-  std::printf("%-14s %-24s %-6s %10.1f us  %10.1f /s\n", group.c_str(),
-              name.c_str(), e.backend.c_str(), usec, e.per_sec);
+  report.row(group, name, backend_name(backend), usec, 1e6 / usec);
 }
 
 void bench_layer(const std::string& name, nn::Layer& layer,
@@ -121,15 +112,8 @@ void bench_gemm() {
       const double usec = timer.time_usec([&] {
         nn::gemm_nn(d, d, d, a.data(), d, b.data(), d, c.data(), d, false);
       });
-      Entry e;
-      e.group = "gemm";
-      e.name = "gemm_nn_" + std::to_string(d);
-      e.backend = backend == nn::GemmBackend::kTiled ? "tiled" : "ref";
-      e.usec = usec;
-      e.per_sec = 2.0 * double(d) * d * d / (usec * 1e-6) / 1e9;  // GFLOP/s
-      entries.push_back(e);
-      std::printf("%-14s %-24s %-6s %10.1f us  %10.2f GFLOP/s\n", "gemm",
-                  e.name.c_str(), e.backend.c_str(), usec, e.per_sec);
+      report.row("gemm", "gemm_nn_" + std::to_string(d), backend_name(backend),
+                 usec, 2.0 * double(d) * d * d / (usec * 1e-6) / 1e9);
     }
   }
 }
@@ -158,34 +142,8 @@ double bench_workload(const std::string& name, fl::WorkloadKind kind,
   const double tiled_usec = bench_client_round(w, nn::GemmBackend::kTiled);
   record("client_round", name, nn::GemmBackend::kTiled, tiled_usec);
   const double speedup = ref_usec / tiled_usec;
-  std::printf("%-14s %-24s speedup %.2fx\n", "client_round", name.c_str(),
-              speedup);
-  Entry e;
-  e.group = "speedup";
-  e.name = name;
-  e.backend = "tiled_vs_ref";
-  e.usec = tiled_usec;
-  e.per_sec = speedup;
-  entries.push_back(e);
+  report.row("speedup", name, "tiled_vs_ref", tiled_usec, speedup);
   return speedup;
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"schema\": \"signguard/train_microbench/v1\",\n"
-      << "  \"threads\": " << common::thread_count() << ",\n"
-      << "  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"backend\": \"" << e.backend
-        << "\", \"usec\": " << obs::StopwatchReporter::json_num(e.usec)
-        << ", \"rate\": " << obs::StopwatchReporter::json_num(e.per_sec)
-        << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
 }
 
 }  // namespace
@@ -194,12 +152,13 @@ void write_json(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace signguard;
   bench::banner("train_microbench", fl::scale_from_env());
-  timer.set_min_ms(
-      std::stod(bench::arg_value(argc, argv, "min-ms", "80")));
+  bench::Gates gates(argc, argv,
+                     {{"cnn-speedup", bench::Bound::kFloor,
+                       "tiled CNN client-round speedup: the GEMM path "
+                       "regressed or silently fell back"}});
+  timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 80));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_train.json");
-  const std::string assert_arg =
-      bench::arg_value(argc, argv, "assert-cnn-speedup", "");
 
   bench_gemm();
   bench_layers();
@@ -212,18 +171,6 @@ int main(int argc, char** argv) {
   std::printf("\nend-to-end client-round speedups: mlp %.2fx  cnn %.2fx  "
               "rnn %.2fx\n",
               mlp, cnn, rnn);
-  write_json(json_path);
-
-  if (!assert_arg.empty()) {
-    const double need = std::stod(assert_arg);
-    if (cnn < need) {
-      std::fprintf(stderr,
-                   "FAIL: tiled CNN client-round speedup %.2fx < required "
-                   "%.2fx — GEMM path regressed or silently fell back\n",
-                   cnn, need);
-      return 1;
-    }
-    std::printf("cnn speedup %.2fx >= required %.2fx\n", cnn, need);
-  }
-  return 0;
+  gates.measure("cnn-speedup", cnn);
+  return bench::finish(report, json_path, gates);
 }

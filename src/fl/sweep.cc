@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "aggregators/sharded.h"
@@ -469,6 +470,15 @@ std::vector<ScenarioResult> run_sweep(std::vector<ScenarioSpec> specs,
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
+    // Equal ids would share an RNG stream, a checkpoint file and a JSONL
+    // line: the same experiment run twice, or two runs racing on one
+    // checkpoint. Refuse them before anything runs.
+    const auto dup = std::adjacent_find(
+        keyed.begin(), keyed.end(),
+        [](const auto& a, const auto& b) { return a.first == b.first; });
+    if (dup != keyed.end())
+      throw std::invalid_argument("run_sweep: duplicate scenario id " +
+                                  dup->first);
     specs.clear();
     for (auto& kv : keyed) specs.push_back(std::move(kv.second));
   }

@@ -289,7 +289,8 @@ struct SweepOptions {
 // Runs every scenario concurrently on the common::parallel pool and
 // returns the results in canonical (ScenarioSpec::id) order. A scenario
 // that throws — degenerate config, misbehaving attack — is reported via
-// ScenarioResult::error instead of aborting the sweep.
+// ScenarioResult::error instead of aborting the sweep. Two specs with the
+// same id throw std::invalid_argument before any scenario runs.
 std::vector<ScenarioResult> run_sweep(std::vector<ScenarioSpec> specs,
                                       const SweepOptions& opts = {});
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -202,6 +203,31 @@ TEST(RunSweep, StreamsProgressForEveryScenario) {
   run_sweep(tiny_grid().expand(), opts);
   EXPECT_EQ(calls, 8u);
   EXPECT_EQ(last_done, 8u);
+}
+
+TEST(SweepEngine, RejectsDuplicateIds) {
+  // byz=0.2 and byz=0.20 are the same scenario: one id, one RNG stream,
+  // one checkpoint file. The sweep refuses the pair before running either.
+  SweepGrid grid = tiny_grid();
+  grid.attacks = {"NoAttack"};
+  grid.gars = {"Mean"};
+  grid.skews = {kIidSkew};
+  grid.byzantine_fracs = {0.2, 0.20, 0.3};
+  const auto specs = grid.expand();
+  ASSERT_EQ(specs.size(), 3u);
+  SweepOptions opts = quiet_options();
+  std::size_t runs = 0;
+  opts.progress = [&](std::size_t, std::size_t, const ScenarioResult&) {
+    ++runs;
+  };
+  try {
+    run_sweep(specs, opts);
+    FAIL() << "duplicate ids were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(specs[0].id()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(runs, 0u);
 }
 
 TEST(WriteJsonl, TimingFieldsAreOptIn) {
