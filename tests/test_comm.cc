@@ -936,6 +936,80 @@ TEST(CommPinned, Int8EncodedBytesHash) {
             0x0c6f9eb744911e48ull);
 }
 
+// Fixed sign1 fixture, again from a splitmix64 stream. 13 rows: 11 that
+// encode to accepted buffers (so the statistics pass sees a row count
+// that is not a multiple of any lane width), then two whose chunks carry
+// inf/NaN and come back kMalformedChunk. The finite rows cover signed
+// zeros, denormals, huge magnitudes and the all-(-0.0) row.
+common::GradientMatrix pinned_sign1_matrix(std::size_t d) {
+  common::GradientMatrix m(13, d);
+  std::uint64_t s = 1802;
+  const auto next = [&s] { return s = common::splitmix64(s); };
+  const auto unit = [&] { return float(next() >> 40) * 0x1.0p-24f; };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t j = 0; j < d; ++j) {
+    m.at(0, j) = (unit() + unit() + unit() - 1.5f) * 0.01f;
+    m.at(1, j) = next() % 3 == 0 ? (next() % 2 ? 0.0f : -0.0f) : unit() - 0.5f;
+    m.at(2, j) = (unit() - 0.5f) * 1e-40f;
+    m.at(3, j) = (unit() - 0.5f) * 3e38f;
+    m.at(4, j) = -0.0f;
+    m.at(5, j) = 0.75f;
+    m.at(6, j) = (j % 2 == 0 ? 1.0f : -1.0f) * float(j % 7) * 0.25f;
+    m.at(7, j) = std::bit_cast<float>(std::uint32_t(next()) & 0x807fffffu);
+    for (std::size_t i = 8; i < 11; ++i) m.at(i, j) = unit() - 0.25f;
+    const float specials[] = {0.0f, -0.0f, kInf, -kInf, kNaN, -kNaN};
+    m.at(11, j) = j % 13 == 0 ? specials[next() % 6] : unit() - 0.5f;
+    m.at(12, j) = std::bit_cast<float>(std::uint32_t(next()));
+  }
+  return m;
+}
+
+// sign1 bytes, decoded floats and wire norms over every chunk-size
+// regime: a 1-coordinate chunk, chunks that are not and are a multiple
+// of 8, and the maximum chunk; d values with and without a tail chunk,
+// with fewer and with more than 8 chunks, and at 1 and 4 threads.
+TEST(CommPinned, Sign1WireBytesDecodeAndNorms) {
+  ThreadCountGuard guard;
+  const std::size_t chunks[] = {1, 7, 8, 64, 4096, 65536};
+  const std::size_t dims[] = {1, 7, 100, 1000, 20000, 32768, 200003};
+  for (const std::size_t threads : {1, 4}) {
+    common::set_thread_count(threads);
+    std::uint64_t bytes = common::kFnvOffsetBasis;
+    std::uint64_t decoded = common::kFnvOffsetBasis;
+    std::uint64_t norms = common::kFnvOffsetBasis;
+    for (const std::size_t chunk : chunks) {
+      const auto codec = comm::make_codec(spec_of(CodecKind::kSign1, chunk));
+      for (const std::size_t d : dims) {
+        const auto m = pinned_sign1_matrix(d);
+        std::vector<std::vector<std::uint8_t>> accepted;
+        std::vector<float> out(d);
+        for (std::size_t i = 0; i < m.rows(); ++i) {
+          auto buf = encode(*codec, m.row(i));
+          bytes = common::fnv1a64(buf.data(), buf.size(), bytes);
+          const auto st = comm::decode_into(*codec, buf, out);
+          ASSERT_EQ(st, comm::validate(*codec, buf, d));
+          if (st == DecodeStatus::kOk) {
+            decoded = common::fnv1a64(out.data(), out.size() * 4, decoded);
+            accepted.push_back(std::move(buf));
+          } else {
+            const int code = static_cast<int>(st);
+            decoded = common::fnv1a64(&code, sizeof code, decoded);
+          }
+        }
+        ASSERT_GE(accepted.size(), 11u) << "chunk " << chunk << " d " << d;
+        const auto nr =
+            comm::wire_row_norms(comm::WireRound{codec.get(), accepted, d});
+        norms = common::fnv1a64(nr.data(), nr.size() * 8, norms);
+      }
+    }
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(bytes, 0xd39f4c2b58bcbb29ull);
+    EXPECT_EQ(decoded, 0xb1f653e54a0967f4ull);
+    EXPECT_EQ(norms, 0x5fe05303300c292full);
+  }
+}
+
 TEST(CommPinned, MinMaxVsBulyanInt8Aggregates) {
   const auto data = comm_data();
   fl::TrainerConfig cfg = comm_config();

@@ -7,8 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
@@ -135,6 +139,57 @@ TEST(MatrixKernels, RowNormsMatchScalarNorms) {
   const auto norms = vec::row_norms(m);
   for (std::size_t i = 0; i < vs.size(); ++i)
     EXPECT_DOUBLE_EQ(norms[i], vec::norm(vs[i]));
+}
+
+// The row kernels' contract is one sequential double chain per row, in
+// coordinate order: this oracle is that chain, written out. Compared as
+// bit patterns, so a NaN row must reproduce the oracle's NaN exactly.
+double scalar_chain_dot(std::span<const float> a, std::span<const float> b) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < a.size(); ++j)
+    acc += double(a[j]) * double(b[j]);
+  return acc;
+}
+
+TEST(MatrixKernels, RowNormsAndDotsMatchScalarChainOracleBitwise) {
+  ThreadCountGuard guard;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {1, 3, 8, 9, 17}) {
+    for (const std::size_t d : {1, 7, 8, 9, 1023, 4097}) {
+      Rng rng(n * 10007 + d);
+      common::GradientMatrix m(n, d);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < d; ++j)
+          m.at(i, j) = static_cast<float>(rng.normal());
+      // Row 1 carries a NaN, row 2 an inf, row 4 both signs of inf (an
+      // inf - inf NaN in the dots), when the matrix has those rows.
+      if (n > 1) m.at(1, d / 2) = std::numeric_limits<float>::quiet_NaN();
+      if (n > 2) m.at(2, d - 1) = -kInf;
+      if (n > 4) {
+        m.at(4, 0) = kInf;
+        m.at(4, d - 1) = d > 1 ? -kInf : kInf;
+      }
+      std::vector<float> ref(d);
+      for (auto& v : ref) v = static_cast<float>(rng.normal());
+      ref[0] = 1e-30f;
+      for (const std::size_t threads : {1, 4}) {
+        common::set_thread_count(threads);
+        const auto norms = vec::row_norms(m);
+        const auto dots = vec::row_dots(m, ref);
+        ASSERT_EQ(norms.size(), n);
+        ASSERT_EQ(dots.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          SCOPED_TRACE(testing::Message() << "n " << n << " d " << d
+                                          << " threads " << threads
+                                          << " row " << i);
+          EXPECT_EQ(bits(norms[i]),
+                    bits(std::sqrt(scalar_chain_dot(m.row(i), m.row(i)))));
+          EXPECT_EQ(bits(dots[i]), bits(scalar_chain_dot(m.row(i), ref)));
+        }
+      }
+    }
+  }
 }
 
 TEST(MatrixKernels, PairwiseBlocksMatchScalarKernels) {
