@@ -7,11 +7,15 @@
 // trajectory and CI artifact upload.
 //
 // Usage:
-//   ./comm_microbench [--json=BENCH_comm.json] [--min-ms=120]
+//   ./comm_microbench [--json=BENCH_comm.json] [--min-ms=120] [--max-d=D]
 //                     [--assert-sign1-ratio=16]
 //                     [--assert-sign1-decode-gbps=1.0]
 //                     [--assert-wirepath-filter-bytes=5]
 //                     [--assert-wirepath-speedup=1.1]
+//
+// --max-d caps the dimension: codec rows run only for d <= D, and the
+// statistics kernels and the filtered round run at min(1M, D) — a
+// reduced-size plumbing check (the default builds a 1 GB round).
 //
 // The assertion flags are CI smoke guards for the transport layer's
 // headline numbers: sign1 must shrink uplinks by at least the given
@@ -27,6 +31,7 @@
 // decode and statistics kernels — on a single-core runner they show the
 // fan-out overhead floor, on multi-core hosts the scaling.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,8 +174,8 @@ void bench_wire_stats(comm::CodecKind kind, std::size_t d) {
 // The two are bitwise-identical by contract (checked here with fresh
 // same-seed instances before timing; the test suite pins it down across
 // the full codec/attack grid).
-void bench_filtered_round() {
-  const std::size_t n = 256, d = 1'000'000;
+void bench_filtered_round(std::size_t d) {
+  const std::size_t n = 256;
   const std::size_t n_byz = n / 5;  // 51 adversarial rows
   comm::CompressionSpec spec;
   spec.codec = comm::CodecKind::kSign1;
@@ -286,7 +291,13 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_comm.json");
 
+  const std::size_t max_d = bench::count_arg(argc, argv, "max-d", 1'000'000);
+  if (max_d == 0)
+    bench::usage_error("max-d", "0", "a positive integer");
+  const std::size_t top_d = std::min<std::size_t>(max_d, 1'000'000);
+
   for (const std::size_t d : {std::size_t{100'000}, std::size_t{1'000'000}}) {
+    if (d > max_d) continue;
     for (const auto kind :
          {comm::CodecKind::kNone, comm::CodecKind::kSign1,
           comm::CodecKind::kInt8, comm::CodecKind::kTopK})
@@ -295,7 +306,7 @@ int main(int argc, char** argv) {
   for (const auto kind :
        {comm::CodecKind::kNone, comm::CodecKind::kSign1,
         comm::CodecKind::kInt8, comm::CodecKind::kTopK})
-    bench_wire_stats(kind, 1'000'000);
-  bench_filtered_round();
+    bench_wire_stats(kind, top_d);
+  bench_filtered_round(top_d);
   return bench::finish(report, json_path, gates);
 }

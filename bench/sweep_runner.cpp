@@ -10,7 +10,8 @@
 // Usage (all list args comma-separated; defaults form a 24-scenario
 // smoke grid):
 // Run `sweep_runner --help` for the full axis set with defaults; --list
-// prints the expanded scenario ids without running anything.
+// prints the expanded scenario ids in canonical order without running
+// anything. A grid with a repeated id exits 2, listed or run.
 // Scale via SIGNGUARD_SCALE=smoke|default|full (rounds=0 resolves to it).
 
 #include <filesystem>
@@ -82,7 +83,8 @@ Output:
   --timing              include wall/cpu seconds in the JSONL
   --no-round-checksums  omit the per-round checksum arrays
   --summary             Table-I-style text summary on stderr
-  --list                print expanded scenario ids, run nothing
+  --list                print expanded scenario ids in canonical order,
+                        run nothing
   --help                this text
 
 Observability (src/obs; see ARCHITECTURE.md "Observability"):
@@ -206,7 +208,7 @@ int main(int argc, char** argv) {
       (known += known.empty() ? "" : ", ") += fl::workload_name(kind);
     std::fprintf(stderr, "%s (known workloads: %s)\n", e.what(),
                  known.c_str());
-    return 1;
+    return 2;
   }
   const std::string model = bench::arg_value(argc, argv, "model", "grid");
   if (model != "grid" && model != "paper") {
@@ -275,6 +277,14 @@ int main(int argc, char** argv) {
   std::vector<fl::ScenarioSpec> specs = grid.expand();
   std::fprintf(stderr, "== sweep_runner: %zu scenarios ==\n%s\n",
                specs.size(), fl::runtime_summary(scale).c_str());
+  try {
+    fl::canonical_order(specs);
+  } catch (const std::invalid_argument& e) {
+    // Repeated scenario ids (e.g. --byz=0.2,0.20): rejected before any
+    // scenario runs or is listed.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   if (bench::has_flag(argc, argv, "list")) {
     for (const auto& s : specs) std::printf("%s\n", s.id().c_str());
@@ -315,15 +325,8 @@ int main(int argc, char** argv) {
   };
 
   bench::Stopwatch total;
-  std::vector<fl::ScenarioResult> results;
-  try {
-    results = fl::run_sweep(std::move(specs), opts);
-  } catch (const std::invalid_argument& e) {
-    // Repeated scenario ids (e.g. --byz=0.2,0.20): rejected before any
-    // scenario runs.
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  const std::vector<fl::ScenarioResult> results =
+      fl::run_sweep(std::move(specs), opts);
 
   std::size_t failed = 0;
   for (const auto& r : results) failed += r.error.empty() ? 0 : 1;

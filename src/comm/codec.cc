@@ -36,11 +36,41 @@ inline bool valid_scale(float s) {
   return std::isfinite(s) && !std::signbit(s);
 }
 
-// ---- none: the identity transport ----------------------------------------
-
-class NoneCodec final : public Codec {
+// The codecs whose kernels run one chunk at a time. Their lane hooks
+// loop over the lanes in order, which meets the lane contract trivially.
+class ChunkwiseCodec : public Codec {
  public:
   using Codec::Codec;
+
+  void encode_chunks(std::span<const float> in, std::size_t len,
+                     std::uint8_t* out, std::size_t stride,
+                     CodecScratch& scratch) const final {
+    for (std::size_t l = 0; l * len < in.size(); ++l)
+      encode_one(in.subspan(l * len, len), out + l * stride, scratch);
+  }
+
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, double* acc) const final {
+    const std::size_t psize = chunk_payload_size(len);
+    for (std::size_t l = 0; l < payloads.size(); ++l)
+      acc[l] = norm2_one({payloads[l], psize}, len, acc[l]);
+  }
+
+ protected:
+  // One chunk of each lane hook: encode_one writes exactly
+  // chunk_payload_size(in.size()) bytes to `out`; norm2_one continues
+  // one row's chain from `acc` and returns it.
+  virtual void encode_one(std::span<const float> in, std::uint8_t* out,
+                          CodecScratch& scratch) const = 0;
+  virtual double norm2_one(std::span<const std::uint8_t> in, std::size_t len,
+                           double acc) const = 0;
+};
+
+// ---- none: the identity transport ----------------------------------------
+
+class NoneCodec final : public ChunkwiseCodec {
+ public:
+  using ChunkwiseCodec::ChunkwiseCodec;
   CodecKind kind() const override { return CodecKind::kNone; }
   const char* name() const override { return "none"; }
 
@@ -48,8 +78,8 @@ class NoneCodec final : public Codec {
     return len * 4;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
+  void encode_one(std::span<const float> in, std::uint8_t* out,
+                  CodecScratch&) const override {
     std::memcpy(out, in.data(), in.size() * 4);
   }
 
@@ -79,8 +109,8 @@ class NoneCodec final : public Codec {
     return bad == 0;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  double norm2_one(std::span<const std::uint8_t> in, std::size_t len,
+                   double acc) const override {
     for (std::size_t j = 0; j < len; ++j) {
       const double v = double(get_f32(in.data() + j * 4));
       acc += v * v;
@@ -104,6 +134,112 @@ class NoneCodec final : public Codec {
 };
 
 // ---- sign1: 1-bit signs + per-chunk mean-|x| scale ------------------------
+//
+// The lane kernels below use GCC vector extensions. Each type is one
+// SSE2 register on baseline x86-64 (and plain generic code elsewhere).
+
+using f32x4 = float __attribute__((vector_size(16)));
+using f64x2 = double __attribute__((vector_size(16)));
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+
+inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+}
+inline void put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// Bit 4k + l of a 32-coordinate sign word, as lane l of group k.
+inline u32x4 sign_weights(int k) {
+  const u32x4 w = {1u, 2u, 4u, 8u};
+  return w << (4 * k);
+}
+
+// sum_j |x[j]| as one double chain in ascending j: the sign1 scale's
+// numerator for a lone chunk, and the reference the lanes below match.
+double abs_sum(std::span<const float> x) {
+  double sum = 0.0;
+  for (const float v : x) sum += std::fabs(v);
+  return sum;
+}
+
+// sum[l] = abs_sum of the chunk x_l = in + l * len, for `count` chunks,
+// one chain per lane. Lanes past `count` repeat chunk 0 and are
+// dropped, so every read stays inside the input. Pairs of lanes share
+// an SSE2 register: four consecutive floats of two chunks are
+// interleaved, made absolute and widened, then added in j order — the
+// same additions in the same order as abs_sum. Only NaN propagation
+// can tell the two apart (which of two NaN operands an add returns is
+// up to the compiler's operand order), so a NaN lane is recomputed by
+// abs_sum itself: its bytes are the serial chain's whatever the lanes
+// picked.
+[[gnu::noinline]] void abs_sum_lanes(const float* in, std::size_t len,
+                                     std::size_t count, double* sum) {
+  using f64x4 = double __attribute__((vector_size(32)));
+  const float* x[kCodecLanes];
+  for (std::size_t l = 0; l < kCodecLanes; ++l)
+    x[l] = in + std::min(l, count - 1) * len;
+  const u32x4 abs_mask = u32x4{} + 0x7fffffffu;
+  f64x2 acc[kCodecLanes / 2] = {};
+  std::size_t j = 0;
+  for (; j + 4 <= len; j += 4) {
+    for (std::size_t p = 0; p < kCodecLanes / 2; ++p) {
+      f32x4 a, b;
+      std::memcpy(&a, x[2 * p] + j, 16);
+      std::memcpy(&b, x[2 * p + 1] + j, 16);
+      // lo = {a[j], b[j], a[j+1], b[j+1]}, hi the same for j+2, j+3.
+      const auto lo = __builtin_convertvector(
+          (f32x4)((u32x4)__builtin_shufflevector(a, b, 0, 4, 1, 5) & abs_mask),
+          f64x4);
+      const auto hi = __builtin_convertvector(
+          (f32x4)((u32x4)__builtin_shufflevector(a, b, 2, 6, 3, 7) & abs_mask),
+          f64x4);
+      acc[p] += f64x2{lo[0], lo[1]};
+      acc[p] += f64x2{lo[2], lo[3]};
+      acc[p] += f64x2{hi[0], hi[1]};
+      acc[p] += f64x2{hi[2], hi[3]};
+    }
+  }
+  for (; j < len; ++j)
+    for (std::size_t p = 0; p < kCodecLanes / 2; ++p)
+      acc[p] += f64x2{std::fabs(double(x[2 * p][j])),
+                      std::fabs(double(x[2 * p + 1][j]))};
+  for (std::size_t l = 0; l < count; ++l) {
+    sum[l] = acc[l / 2][l % 2];
+    if (std::isnan(sum[l])) sum[l] = abs_sum({in + l * len, len});
+  }
+}
+
+// The sign bits of 32 coordinates as one word: bit j = !signbit(x[j]),
+// straight from the float bits (so -0.0, -NaN and -inf give 0 and their
+// positive twins 1). The sign bits are spread to weight 2^j with one
+// arithmetic shift and mask per four coordinates, then OR-folded.
+inline std::uint32_t sign_word(const float* x) {
+  u32x4 neg = {};
+  for (int k = 0; k < 8; ++k) {
+    i32x4 v;
+    std::memcpy(&v, x + 4 * k, 16);
+    neg |= (u32x4)(v >> 31) & sign_weights(k);
+  }
+  return ~(neg[0] | neg[1] | neg[2] | neg[3]);
+}
+
+// Packs bit j = !signbit(x[j]) of a `len`-coordinate chunk into
+// (len + 7) / 8 bytes, bit j of byte j / 8; unused tail bits stay zero.
+void sign_bits(const float* x, std::size_t len, std::uint8_t* bits) {
+  std::size_t base = 0;
+  for (; base + 32 <= len; base += 32) put_u32(bits + base / 8, sign_word(x + base));
+  for (; base < len; base += 8) {
+    std::uint8_t byte = 0;
+    const std::size_t end = std::min(len, base + 8);
+    for (std::size_t j = base; j < end; ++j)
+      byte |= static_cast<std::uint8_t>(
+          (~(std::bit_cast<std::uint32_t>(x[j]) >> 31) & 1u) << (j - base));
+    bits[base / 8] = byte;
+  }
+}
 
 class Sign1Codec final : public Codec {
  public:
@@ -115,29 +251,27 @@ class Sign1Codec final : public Codec {
     return 4 + (len + 7) / 8;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
-    const std::size_t len = in.size();
-    // Sequential double accumulation: deterministic, and exact enough
-    // that re-encoding a decoded chunk (len copies of ±scale) recovers
-    // the identical scale — len * scale is exact in double for
-    // len <= kMaxChunk, and (len * scale) / len is exactly scale.
-    double sum = 0.0;
-    for (const float v : in) sum += std::fabs(v);
-    const float scale = len > 0 ? static_cast<float>(sum / double(len)) : 0.0f;
-    put_f32(out, scale);
-    std::uint8_t* bits = out + 4;
-    // Branchless sign harvest (the signs of a gradient row are
-    // effectively random, so a per-coordinate branch would mispredict
-    // half the time): bit = !signbit, straight from the float's bits.
-    for (std::size_t base = 0; base < len; base += 8) {
-      std::uint8_t byte = 0;
-      const std::size_t end = std::min(len, base + 8);
-      for (std::size_t j = base; j < end; ++j)
-        byte |= static_cast<std::uint8_t>(
-            (~(std::bit_cast<std::uint32_t>(in[j]) >> 31) & 1u)
-            << (j - base));
-      bits[base / 8] = byte;  // unused tail bits stay zero
+  void encode_chunks(std::span<const float> in, std::size_t len,
+                     std::uint8_t* out, std::size_t stride,
+                     CodecScratch&) const override {
+    assert(len > 0 && in.size() % len == 0);
+    const std::size_t count = in.size() / len;
+    assert(count >= 1 && count <= kCodecLanes);
+    // Sequential double accumulation per chunk: deterministic, and exact
+    // enough that re-encoding a decoded chunk (len copies of ±scale)
+    // recovers the identical scale — len * scale is exact in double for
+    // len <= kMaxChunk, and (len * scale) / len is exactly scale. A lone
+    // chunk (the row's tail) is one chain; a group runs its chains in
+    // lanes.
+    double sum[kCodecLanes];
+    if (count == 1)
+      sum[0] = abs_sum(in);
+    else
+      abs_sum_lanes(in.data(), len, count, sum);
+    for (std::size_t l = 0; l < count; ++l) {
+      std::uint8_t* rec = out + l * stride;
+      put_f32(rec, static_cast<float>(sum[l] / double(len)));
+      sign_bits(in.data() + l * len, len, rec + 4);
     }
   }
 
@@ -146,24 +280,26 @@ class Sign1Codec final : public Codec {
     const float scale = get_f32(in.data());
     if (!valid_scale(scale)) return false;
     const std::uint8_t* bits = in.data() + 4;
-    // Branchless two-entry select, eight coordinates per sign byte: the
-    // wire-to-row hot path of the 1 GB/s single-thread decode guarantee.
-    const float vals[2] = {-scale, scale};
+    // Bit 1 decodes to +scale and bit 0 to -scale. valid_scale leaves the
+    // scale's sign bit clear, so -scale is its bits with bit 31 set:
+    // out = scale_bits | (bit == 0) << 31, built branch-free four
+    // coordinates per register from one 32-bit sign word.
+    const std::uint32_t sbits = std::bit_cast<std::uint32_t>(scale);
+    const u32x4 sv = u32x4{} + sbits;
     const std::size_t len = out.size();
-    const std::size_t full = len & ~std::size_t{7};
-    for (std::size_t j = 0; j < full; j += 8) {
-      const std::uint8_t b = bits[j >> 3];
-      out[j + 0] = vals[b & 1u];
-      out[j + 1] = vals[(b >> 1) & 1u];
-      out[j + 2] = vals[(b >> 2) & 1u];
-      out[j + 3] = vals[(b >> 3) & 1u];
-      out[j + 4] = vals[(b >> 4) & 1u];
-      out[j + 5] = vals[(b >> 5) & 1u];
-      out[j + 6] = vals[(b >> 6) & 1u];
-      out[j + 7] = vals[(b >> 7) & 1u];
+    std::size_t j = 0;
+    for (; j + 32 <= len; j += 32) {
+      const u32x4 word = u32x4{} + get_u32(bits + j / 8);
+      for (int k = 0; k < 8; ++k) {
+        const u32x4 v =
+            sv | ((u32x4)((word & sign_weights(k)) == 0) & 0x80000000u);
+        std::memcpy(out.data() + j + 4 * k, &v, 16);
+      }
     }
-    for (std::size_t j = full; j < len; ++j)
-      out[j] = vals[(bits[j >> 3] >> (j & 7u)) & 1u];
+    for (; j < len; ++j) {
+      const std::uint32_t bit = (bits[j >> 3] >> (j & 7u)) & 1u;
+      out[j] = std::bit_cast<float>(sbits | (bit ^ 1u) << 31);
+    }
     return true;
   }
 
@@ -172,17 +308,26 @@ class Sign1Codec final : public Codec {
     return valid_scale(get_f32(in.data()));
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, double* acc) const override {
     // Every decoded coordinate is ±scale and IEEE multiplication gives
-    // (-s)*(-s) the identical bits as s*s, so the decode-path chain
-    // `acc += double(out[j]) * double(out[j])` degenerates to len
+    // (-s)*(-s) the identical bits as s*s, so each row's decode-path
+    // chain `acc += double(out[j]) * double(out[j])` degenerates to len
     // additions of one precomputed square. Zero payload-byte traffic:
-    // the whole chunk's norm contribution comes from 4 scale bytes.
-    const double s = double(get_f32(in.data()));
-    const double q = s * s;
-    for (std::size_t j = 0; j < len; ++j) acc += q;
-    return acc;
+    // a chunk's norm contribution comes from its 4 scale bytes. The rows'
+    // chains run side by side, two lanes per register; unused lanes add
+    // zeros and are dropped.
+    const std::size_t count = payloads.size();
+    assert(count >= 1 && count <= kCodecLanes);
+    f64x2 q[kCodecLanes / 2] = {}, a[kCodecLanes / 2] = {};
+    for (std::size_t l = 0; l < count; ++l) {
+      const double s = double(get_f32(payloads[l]));
+      q[l / 2][l % 2] = s * s;
+      a[l / 2][l % 2] = acc[l];
+    }
+    for (std::size_t j = 0; j < len; ++j)
+      for (std::size_t p = 0; p < kCodecLanes / 2; ++p) a[p] += q[p];
+    for (std::size_t l = 0; l < count; ++l) acc[l] = a[l / 2][l % 2];
   }
 
   void chunk_sign_counts(std::span<const std::uint8_t> in, std::size_t len,
@@ -269,9 +414,9 @@ void decode_table(int e, float table[256]) {
     table[b] = static_cast<float>(static_cast<std::int8_t>(b)) * step;
 }
 
-class Int8Codec final : public Codec {
+class Int8Codec final : public ChunkwiseCodec {
  public:
-  using Codec::Codec;
+  using ChunkwiseCodec::ChunkwiseCodec;
   CodecKind kind() const override { return CodecKind::kInt8; }
   const char* name() const override { return "int8"; }
 
@@ -279,8 +424,8 @@ class Int8Codec final : public Codec {
     return 2 + len;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
+  void encode_one(std::span<const float> in, std::uint8_t* out,
+                  CodecScratch&) const override {
     const float maxabs = max_abs(in);
     int e = 0;
     if (!std::isfinite(maxabs)) {
@@ -327,8 +472,8 @@ class Int8Codec final : public Codec {
     return bad == 0;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  double norm2_one(std::span<const std::uint8_t> in, std::size_t len,
+                   double acc) const override {
     const int e = static_cast<std::int16_t>(get_u16(in.data()));
     const std::uint8_t* codes = in.data() + 2;
     // Squared decode table in double: q2[c] is bitwise
@@ -364,10 +509,10 @@ class Int8Codec final : public Codec {
 
 // ---- topk: magnitude sparsification, exact values + u16 index deltas ------
 
-class TopKCodec final : public Codec {
+class TopKCodec final : public ChunkwiseCodec {
  public:
   TopKCodec(std::size_t chunk, double k_fraction)
-      : Codec(chunk), k_fraction_(k_fraction) {}
+      : ChunkwiseCodec(chunk), k_fraction_(k_fraction) {}
   CodecKind kind() const override { return CodecKind::kTopK; }
   const char* name() const override { return "topk"; }
 
@@ -384,8 +529,8 @@ class TopKCodec final : public Codec {
     return 2 + keep_count(len) * 6;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch& scratch) const override {
+  void encode_one(std::span<const float> in, std::uint8_t* out,
+                  CodecScratch& scratch) const override {
     const std::size_t len = in.size();
     const std::size_t k = keep_count(len);
     auto& order = scratch.order;
@@ -472,8 +617,8 @@ class TopKCodec final : public Codec {
     return true;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  double norm2_one(std::span<const std::uint8_t> in, std::size_t len,
+                   double acc) const override {
     // The decoded chunk is zero everywhere but the k stored entries, and
     // a +0.0 addend never changes the accumulation chain: acc starts at
     // +0.0 and only ever gains non-negative squares, so it is never -0.0

@@ -9,6 +9,12 @@
 //   * encode is a pure function of the chunk's floats — no RNG, no
 //     platform dependence, sequential accumulation inside a chunk — so
 //     encoded bytes are bitwise thread-invariant and reproducible.
+//   * Lane contract: the lane hooks below (encode_chunks, chunk_norm2)
+//     take up to kCodecLanes independent chunks at once so a codec can
+//     batch independent chains across lanes — one accumulator per lane,
+//     side by side in registers — but never reorders the additions
+//     within one chain. Every byte, decoded float and norm is therefore
+//     the one a chunk-at-a-time loop produces.
 //   * chunk_payload_size() depends only on the chunk length, never on
 //     the data, so every chunk's output offset is computable up front
 //     and chunks can be encoded/decoded concurrently into disjoint
@@ -69,7 +75,12 @@ struct CompressionSpec {
   double k_fraction = 0.05;
 };
 
-// Reusable per-worker scratch for encode_chunk (top-k candidate
+// Most chunks a lane hook takes at once: eight double accumulators fill
+// four SSE2 registers, enough independent add chains to hide the
+// latency of one.
+inline constexpr std::size_t kCodecLanes = 8;
+
+// Reusable per-worker scratch for encode_chunks (top-k candidate
 // ordering). One instance per concurrent encoder; zero steady-state
 // allocation once grown.
 struct CodecScratch {
@@ -103,12 +114,18 @@ class Codec {
   // by contract (see file header).
   virtual std::size_t chunk_payload_size(std::size_t len) const = 0;
 
-  // Writes exactly chunk_payload_size(in.size()) bytes to `out`.
-  virtual void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                            CodecScratch& scratch) const = 0;
+  // Encodes count = in.size() / len consecutive chunks of one row,
+  // 1 <= count <= kCodecLanes, each of `len` coordinates: chunk l reads
+  // in[l * len, (l + 1) * len) and writes exactly
+  // chunk_payload_size(len) bytes at out + l * stride (see the lane
+  // contract above).
+  virtual void encode_chunks(std::span<const float> in, std::size_t len,
+                             std::uint8_t* out, std::size_t stride,
+                             CodecScratch& scratch) const = 0;
 
-  // Inverse of encode_chunk; writes every coordinate of `out`. `in` has
-  // already been length-checked against chunk_payload_size(out.size());
+  // Inverse of one chunk's encoding; writes every coordinate of `out`.
+  // `in` has already been length-checked against
+  // chunk_payload_size(out.size());
   // returns false when the payload's internals are malformed (the wire
   // layer surfaces that as DecodeStatus::kMalformedChunk).
   virtual bool decode_chunk(std::span<const std::uint8_t> in,
@@ -127,14 +144,17 @@ class Codec {
   virtual bool validate_chunk(std::span<const std::uint8_t> in,
                               std::size_t len) const = 0;
 
-  // Continues the squared-norm accumulation chain over the decoded chunk
-  // in coordinate order, starting from `acc`. Bitwise identical to
-  //   for (j in chunk) acc += double(x[j]) * double(x[j]);
+  // Continues count = payloads.size() independent squared-norm chains,
+  // 1 <= count <= kCodecLanes: payloads[l] is one row's payload of the
+  // same `len`-coordinate chunk, and acc[l] continues that row's chain
+  // over its decoded chunk in coordinate order. Per lane bitwise
+  // identical to
+  //   for (j in chunk) acc[l] += double(x[j]) * double(x[j]);
   // on the decoded coordinates (the sequential-double-chain contract of
-  // vec::dot), which is what makes wire-path norms equal decode-path
-  // norms bit for bit.
-  virtual double chunk_norm2(std::span<const std::uint8_t> in,
-                             std::size_t len, double acc) const = 0;
+  // vec::row_norms), which is what makes wire-path norms equal
+  // decode-path norms bit for bit.
+  virtual void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                           std::size_t len, double* acc) const = 0;
 
   // Sign census of the decoded chunk restricted to the sampled offsets
   // in `coords`: adds into counts[0] (x > 0), counts[1] (x == 0),

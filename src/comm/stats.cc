@@ -77,19 +77,26 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
   const Codec& codec = *wire.codec;
   const std::size_t chunk = codec.chunk();
   const WireLayout l = wire_layout(codec, wire.d);
-  std::vector<double> out(wire.uplinks.size(), 0.0);
-  common::parallel_for(wire.uplinks.size(), [&](std::size_t i) {
-    const std::vector<std::uint8_t>& buf = wire.uplinks[i];
-    assert(buf.size() == l.total);  // validated upstream
-    double acc = 0.0;
+  const std::size_t n = wire.uplinks.size();
+  std::vector<double> out(n, 0.0);
+  // Rows in groups of kCodecLanes, one norm chain per row: the codec
+  // continues the group's chains chunk by chunk, side by side.
+  const std::size_t groups = (n + kCodecLanes - 1) / kCodecLanes;
+  common::parallel_for(groups, [&](std::size_t g) {
+    const std::size_t i0 = g * kCodecLanes;
+    const std::size_t count = std::min(kCodecLanes, n - i0);
+    const std::uint8_t* payloads[kCodecLanes];
+    double acc[kCodecLanes] = {};
     for (std::size_t c = 0; c < l.n_chunks; ++c) {
       const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-      const std::size_t psize = codec.chunk_payload_size(len);
-      const std::uint8_t* rec =
-          buf.data() + kWireHeaderSize + c * l.full_record;
-      acc = codec.chunk_norm2({rec + 4, psize}, len, acc);
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::vector<std::uint8_t>& buf = wire.uplinks[i0 + k];
+        assert(buf.size() == l.total);  // validated upstream
+        payloads[k] = buf.data() + kWireHeaderSize + c * l.full_record + 4;
+      }
+      codec.chunk_norm2({payloads, count}, len, acc);
     }
-    out[i] = std::sqrt(acc);
+    for (std::size_t k = 0; k < count; ++k) out[i0 + k] = std::sqrt(acc[k]);
   });
   return out;
 }

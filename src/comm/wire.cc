@@ -1,7 +1,9 @@
 #include "comm/wire.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -65,6 +67,28 @@ DecodeStatus check_structure(const Codec& codec,
                       buf.size() - kWireHeaderSize))
     return DecodeStatus::kChecksumMismatch;
   return DecodeStatus::kOk;
+}
+
+// Rows below this many coordinates run their chunk loop on the calling
+// thread. An empty parallel_chunks dispatch (wake the helpers, split,
+// join) costs ~9 us at 4 threads (median of 2,000, 4-vCPU x86-64
+// container), and the cheapest chunk loop here, sign1 decode, runs at
+// ~0.2 ns per coordinate on one thread. Below 2^18 coordinates that loop
+// costs under ~50 us — about five dispatches — so fanning it out buys
+// little and can lose (a 100k-coordinate sign1 decode measured slower
+// pool-threaded than inline).
+constexpr std::size_t kFanOutMinCoords = std::size_t{1} << 18;
+
+// parallel_chunks over a row's `units` chunks (or chunk groups), inline
+// for a row of d < kFanOutMinCoords coordinates.
+void for_chunks(
+    std::size_t d, std::size_t units,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  if (d < kFanOutMinCoords) {
+    if (units > 0) fn(0, units, 0);
+  } else {
+    common::parallel_chunks(units, fn);
+  }
 }
 
 }  // namespace
@@ -131,20 +155,33 @@ void encode_into(const Codec& codec, std::span<const float> row,
 
   if (scratch.size() < common::thread_count())
     scratch.resize(common::thread_count());
-  // Records land at precomputed offsets, so the chunk fan-out writes
-  // disjoint byte ranges — bitwise thread-invariant by construction.
-  common::parallel_chunks(
-      l.n_chunks,
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        CodecScratch& s = scratch[worker];
-        for (std::size_t c = begin; c < end; ++c) {
-          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-          const std::size_t psize = codec.chunk_payload_size(len);
-          std::uint8_t* rec = out.data() + kWireHeaderSize + c * l.full_record;
-          put_u32(rec, static_cast<std::uint32_t>(psize));
-          codec.encode_chunk(row.subspan(c * chunk, len), rec + 4, s);
-        }
-      });
+  for (std::size_t c = 0; c < l.n_chunks; ++c) {
+    const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
+    put_u32(out.data() + kWireHeaderSize + c * l.full_record,
+            static_cast<std::uint32_t>(codec.chunk_payload_size(len)));
+  }
+  // The full chunks go to the codec kCodecLanes at a time and a short
+  // tail chunk on its own. Records land at precomputed offsets, so the
+  // group fan-out writes disjoint byte ranges — bitwise thread-invariant
+  // by construction.
+  const std::size_t full = l.tail_len == chunk ? l.n_chunks : l.n_chunks - 1;
+  const std::size_t full_groups = (full + kCodecLanes - 1) / kCodecLanes;
+  const std::size_t groups = full_groups + (full < l.n_chunks ? 1 : 0);
+  for_chunks(d, groups,
+             [&](std::size_t begin, std::size_t end, std::size_t worker) {
+               CodecScratch& s = scratch[worker];
+               for (std::size_t g = begin; g < end; ++g) {
+                 const bool tail = g == full_groups;
+                 const std::size_t c = tail ? full : g * kCodecLanes;
+                 const std::size_t count =
+                     tail ? 1 : std::min(kCodecLanes, full - c);
+                 const std::size_t len = tail ? l.tail_len : chunk;
+                 codec.encode_chunks(
+                     row.subspan(c * chunk, count * len), len,
+                     out.data() + kWireHeaderSize + c * l.full_record + 4,
+                     l.full_record, s);
+               }
+             });
 
   put_u64(h + 20, common::fnv1a64(out.data() + kWireHeaderSize,
                                   l.total - kWireHeaderSize));
@@ -162,8 +199,8 @@ DecodeStatus decode_into(const Codec& codec,
   // Every record's offset and length is now verified; decode the chunks
   // concurrently into disjoint coordinate ranges of the row.
   std::atomic<bool> ok{true};
-  common::parallel_chunks(
-      l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
+  for_chunks(
+      d, l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t c = begin; c < end && ok.load(); ++c) {
           const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
           const std::size_t psize = codec.chunk_payload_size(len);
@@ -185,8 +222,8 @@ DecodeStatus validate(const Codec& codec, std::span<const std::uint8_t> buf,
   if (st != DecodeStatus::kOk) return st;
 
   std::atomic<bool> ok{true};
-  common::parallel_chunks(
-      l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
+  for_chunks(
+      d, l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t c = begin; c < end && ok.load(); ++c) {
           const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
           const std::size_t psize = codec.chunk_payload_size(len);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -149,20 +150,102 @@ CoordinateMoments coordinate_moments(
 
 // ---- matrix kernels (threaded) ---------------------------------------------
 
+namespace {
+
+// Rows per row_norms / row_dots group: eight double chains fill four
+// SSE2 registers, enough to hide the latency of one add.
+constexpr std::size_t kRowLanes = 8;
+
+// out[l] = dot(rows[l], ref), or dot(rows[l], rows[l]) when kSelf, for
+// kRowLanes rows of d floats. Each row keeps its own chain in ascending
+// j, exactly as dot(); the chains run side by side, two rows per
+// register (GCC vector extensions, SSE2 on baseline x86-64): four
+// consecutive floats of two rows are interleaved and widened, and each
+// product is added in j order. Only NaN propagation can tell this from
+// dot() — which of two NaN operands an add returns depends on the
+// compiler's operand order — so callers recompute a NaN lane with dot().
+template <bool kSelf>
+[[gnu::noinline]] void dot_lanes(const float* const* rows, const float* ref,
+                                 std::size_t d, double* out) {
+  using f32x4 = float __attribute__((vector_size(16)));
+  using f64x2 = double __attribute__((vector_size(16)));
+  using f64x4 = double __attribute__((vector_size(32)));
+  f64x2 acc[kRowLanes / 2] = {};
+  std::size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    f64x4 r = {};
+    if constexpr (!kSelf) {
+      f32x4 rv;
+      std::memcpy(&rv, ref + j, 16);
+      r = __builtin_convertvector(rv, f64x4);
+    }
+    for (std::size_t p = 0; p < kRowLanes / 2; ++p) {
+      f32x4 a, b;
+      std::memcpy(&a, rows[2 * p] + j, 16);
+      std::memcpy(&b, rows[2 * p + 1] + j, 16);
+      // lo = {a[j], b[j], a[j+1], b[j+1]}, hi the same for j+2, j+3.
+      const f64x4 lo =
+          __builtin_convertvector(__builtin_shufflevector(a, b, 0, 4, 1, 5), f64x4);
+      const f64x4 hi =
+          __builtin_convertvector(__builtin_shufflevector(a, b, 2, 6, 3, 7), f64x4);
+      const f64x2 x[4] = {{lo[0], lo[1]}, {lo[2], lo[3]},
+                          {hi[0], hi[1]}, {hi[2], hi[3]}};
+      for (int t = 0; t < 4; ++t)
+        acc[p] += x[t] * (kSelf ? x[t] : f64x2{r[t], r[t]});
+    }
+  }
+  for (; j < d; ++j) {
+    for (std::size_t p = 0; p < kRowLanes / 2; ++p) {
+      const f64x2 x = {double(rows[2 * p][j]), double(rows[2 * p + 1][j])};
+      acc[p] += x * (kSelf ? x : f64x2{} + double(ref[j]));
+    }
+  }
+  for (std::size_t l = 0; l < kRowLanes; ++l) out[l] = acc[l / 2][l % 2];
+}
+
+// dot(g.row(i), ref) — or dot(g.row(i), g.row(i)) when ref is empty —
+// for every row, in groups of kRowLanes rows over the pool. A short
+// last group repeats its first row in the spare lanes and drops them.
+std::vector<double> grouped_row_dots(const common::GradientMatrix& g,
+                                     std::span<const float> ref) {
+  const std::size_t n = g.rows();
+  const std::size_t d = g.cols();
+  std::vector<double> out(n, 0.0);
+  const std::size_t groups = (n + kRowLanes - 1) / kRowLanes;
+  common::parallel_for(groups, [&](std::size_t grp) {
+    const std::size_t i0 = grp * kRowLanes;
+    const std::size_t count = std::min(kRowLanes, n - i0);
+    const float* rows[kRowLanes];
+    for (std::size_t l = 0; l < kRowLanes; ++l)
+      rows[l] = g.row(i0 + (l < count ? l : 0)).data();
+    double acc[kRowLanes];
+    if (ref.empty())
+      dot_lanes<true>(rows, nullptr, d, acc);
+    else
+      dot_lanes<false>(rows, ref.data(), d, acc);
+    for (std::size_t l = 0; l < count; ++l) {
+      const auto row = g.row(i0 + l);
+      out[i0 + l] = std::isnan(acc[l]) ? dot(row, ref.empty() ? row : ref)
+                                       : acc[l];
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
 std::vector<double> row_norms(const common::GradientMatrix& g) {
-  std::vector<double> out(g.rows(), 0.0);
-  common::parallel_for(g.rows(),
-                       [&](std::size_t i) { out[i] = norm(g.row(i)); });
+  std::vector<double> out = grouped_row_dots(g, {});
+  for (double& v : out) v = std::sqrt(v);
   return out;
 }
 
 std::vector<double> row_dots(const common::GradientMatrix& g,
                              std::span<const float> ref) {
   assert(ref.size() == g.cols() || g.rows() == 0);
-  std::vector<double> out(g.rows(), 0.0);
-  common::parallel_for(g.rows(),
-                       [&](std::size_t i) { out[i] = dot(g.row(i), ref); });
-  return out;
+  // A d == 0 ref is empty too, and grouped_row_dots then takes the self
+  // product of the empty rows — the same 0.0.
+  return grouped_row_dots(g, ref);
 }
 
 namespace {

@@ -457,31 +457,33 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
 
 }  // namespace
 
+void canonical_order(std::vector<ScenarioSpec>& specs) {
+  // Sorted by scenario id, so output is independent of submission order.
+  // Ids are built once per spec (decorate-sort), not per comparison.
+  std::vector<std::pair<std::string, ScenarioSpec>> keyed;
+  keyed.reserve(specs.size());
+  for (auto& s : specs) keyed.emplace_back(s.id(), std::move(s));
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  // Equal ids would share an RNG stream, a checkpoint file and a JSONL
+  // line: the same experiment run twice, or two runs racing on one
+  // checkpoint.
+  const auto dup = std::adjacent_find(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (dup != keyed.end())
+    throw std::invalid_argument("run_sweep: duplicate scenario id " +
+                                dup->first);
+  specs.clear();
+  for (auto& kv : keyed) specs.push_back(std::move(kv.second));
+}
+
 std::vector<ScenarioResult> run_sweep(std::vector<ScenarioSpec> specs,
                                       const SweepOptions& opts) {
-  // Canonical order: the result vector and the streamed JSONL are sorted
-  // by scenario id, so output is independent of submission order. Ids
-  // are built once per spec (decorate-sort), not per comparison.
-  {
-    std::vector<std::pair<std::string, ScenarioSpec>> keyed;
-    keyed.reserve(specs.size());
-    for (auto& s : specs) keyed.emplace_back(s.id(), std::move(s));
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    // Equal ids would share an RNG stream, a checkpoint file and a JSONL
-    // line: the same experiment run twice, or two runs racing on one
-    // checkpoint. Refuse them before anything runs.
-    const auto dup = std::adjacent_find(
-        keyed.begin(), keyed.end(),
-        [](const auto& a, const auto& b) { return a.first == b.first; });
-    if (dup != keyed.end())
-      throw std::invalid_argument("run_sweep: duplicate scenario id " +
-                                  dup->first);
-    specs.clear();
-    for (auto& kv : keyed) specs.push_back(std::move(kv.second));
-  }
+  // Refuses repeated ids before anything runs.
+  canonical_order(specs);
   const std::size_t n = specs.size();
   std::vector<ScenarioResult> results(n);
   if (n == 0) return results;

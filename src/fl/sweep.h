@@ -286,6 +286,12 @@ struct SweepOptions {
   bool obs_timing = false;
 };
 
+// Sorts `specs` into canonical (ScenarioSpec::id) order — the order of
+// run_sweep's results and JSONL — and throws std::invalid_argument naming
+// the first repeated id. run_sweep starts with it; a front end that only
+// lists a grid calls it too, so a grid that cannot run cannot list.
+void canonical_order(std::vector<ScenarioSpec>& specs);
+
 // Runs every scenario concurrently on the common::parallel pool and
 // returns the results in canonical (ScenarioSpec::id) order. A scenario
 // that throws — degenerate config, misbehaving attack — is reported via
