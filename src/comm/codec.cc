@@ -7,6 +7,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/lanes.h"
+
 namespace signguard::comm {
 
 namespace {
@@ -27,6 +29,13 @@ inline void put_u16(std::uint8_t* p, std::uint16_t v) {
 inline std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] |
                                     (static_cast<std::uint16_t>(p[1]) << 8));
+}
+inline void put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 // A finite float whose sign bit is clear: the canonical form of every
@@ -134,22 +143,9 @@ class NoneCodec final : public ChunkwiseCodec {
 };
 
 // ---- sign1: 1-bit signs + per-chunk mean-|x| scale ------------------------
-//
-// The lane kernels below use GCC vector extensions. Each type is one
-// SSE2 register on baseline x86-64 (and plain generic code elsewhere).
 
-using f32x4 = float __attribute__((vector_size(16)));
-using f64x2 = double __attribute__((vector_size(16)));
-using i32x4 = std::int32_t __attribute__((vector_size(16)));
-using u32x4 = std::uint32_t __attribute__((vector_size(16)));
-
-inline std::uint32_t get_u32(const std::uint8_t* p) {
-  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
-         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
-}
-inline void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
+using lanes::f64x2;
+using lanes::u32x4;
 
 // Bit 4k + l of a 32-coordinate sign word, as lane l of group k.
 inline u32x4 sign_weights(int k) {
@@ -165,41 +161,27 @@ double abs_sum(std::span<const float> x) {
   return sum;
 }
 
-// sum[l] = abs_sum of the chunk x_l = in + l * len, for `count` chunks,
-// one chain per lane. Lanes past `count` repeat chunk 0 and are
-// dropped, so every read stays inside the input. Pairs of lanes share
-// an SSE2 register: four consecutive floats of two chunks are
-// interleaved, made absolute and widened, then added in j order — the
-// same additions in the same order as abs_sum. Only NaN propagation
-// can tell the two apart (which of two NaN operands an add returns is
-// up to the compiler's operand order), so a NaN lane is recomputed by
-// abs_sum itself: its bytes are the serial chain's whatever the lanes
-// picked.
+// sum[l] = abs_sum of the chunk in + l * len, for `count` chunks, one
+// chain per lane (common/lanes.h: a NaN lane is redone by abs_sum, so
+// its bytes are the serial chain's). Lanes past `count` repeat chunk 0
+// and are dropped, so every read stays inside the input.
 [[gnu::noinline]] void abs_sum_lanes(const float* in, std::size_t len,
                                      std::size_t count, double* sum) {
-  using f64x4 = double __attribute__((vector_size(32)));
   const float* x[kCodecLanes];
   for (std::size_t l = 0; l < kCodecLanes; ++l)
     x[l] = in + std::min(l, count - 1) * len;
   const u32x4 abs_mask = u32x4{} + 0x7fffffffu;
+  const auto abs4 = [abs_mask](const float* p) {
+    return (lanes::f32x4)((u32x4)lanes::load4(p) & abs_mask);
+  };
   f64x2 acc[kCodecLanes / 2] = {};
   std::size_t j = 0;
   for (; j + 4 <= len; j += 4) {
     for (std::size_t p = 0; p < kCodecLanes / 2; ++p) {
-      f32x4 a, b;
-      std::memcpy(&a, x[2 * p] + j, 16);
-      std::memcpy(&b, x[2 * p + 1] + j, 16);
-      // lo = {a[j], b[j], a[j+1], b[j+1]}, hi the same for j+2, j+3.
-      const auto lo = __builtin_convertvector(
-          (f32x4)((u32x4)__builtin_shufflevector(a, b, 0, 4, 1, 5) & abs_mask),
-          f64x4);
-      const auto hi = __builtin_convertvector(
-          (f32x4)((u32x4)__builtin_shufflevector(a, b, 2, 6, 3, 7) & abs_mask),
-          f64x4);
-      acc[p] += f64x2{lo[0], lo[1]};
-      acc[p] += f64x2{lo[2], lo[3]};
-      acc[p] += f64x2{hi[0], hi[1]};
-      acc[p] += f64x2{hi[2], hi[3]};
+      f64x2 terms[4];
+      lanes::interleave_widen(abs4(x[2 * p] + j), abs4(x[2 * p + 1] + j),
+                              terms);
+      for (const f64x2 t : terms) acc[p] += t;
     }
   }
   for (; j < len; ++j)
@@ -214,15 +196,13 @@ double abs_sum(std::span<const float> x) {
 
 // The sign bits of 32 coordinates as one word: bit j = !signbit(x[j]),
 // straight from the float bits (so -0.0, -NaN and -inf give 0 and their
-// positive twins 1). The sign bits are spread to weight 2^j with one
-// arithmetic shift and mask per four coordinates, then OR-folded.
+// positive twins 1). An arithmetic shift spreads each sign bit over its
+// lane, a mask keeps weight 2^j, and the lanes OR-fold into the word.
 inline std::uint32_t sign_word(const float* x) {
   u32x4 neg = {};
-  for (int k = 0; k < 8; ++k) {
-    i32x4 v;
-    std::memcpy(&v, x + 4 * k, 16);
-    neg |= (u32x4)(v >> 31) & sign_weights(k);
-  }
+  for (int k = 0; k < 8; ++k)
+    neg |= (u32x4)((lanes::i32x4)lanes::load4(x + 4 * k) >> 31) &
+           sign_weights(k);
   return ~(neg[0] | neg[1] | neg[2] | neg[3]);
 }
 
@@ -230,7 +210,8 @@ inline std::uint32_t sign_word(const float* x) {
 // (len + 7) / 8 bytes, bit j of byte j / 8; unused tail bits stay zero.
 void sign_bits(const float* x, std::size_t len, std::uint8_t* bits) {
   std::size_t base = 0;
-  for (; base + 32 <= len; base += 32) put_u32(bits + base / 8, sign_word(x + base));
+  for (; base + 32 <= len; base += 32)
+    put_u32(bits + base / 8, sign_word(x + base));
   for (; base < len; base += 8) {
     std::uint8_t byte = 0;
     const std::size_t end = std::min(len, base + 8);

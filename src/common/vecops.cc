@@ -6,11 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "common/lanes.h"
 #include "common/parallel.h"
 #include "nn/gemm.h"
 
@@ -157,41 +157,27 @@ namespace {
 constexpr std::size_t kRowLanes = 8;
 
 // out[l] = dot(rows[l], ref), or dot(rows[l], rows[l]) when kSelf, for
-// kRowLanes rows of d floats. Each row keeps its own chain in ascending
-// j, exactly as dot(); the chains run side by side, two rows per
-// register (GCC vector extensions, SSE2 on baseline x86-64): four
-// consecutive floats of two rows are interleaved and widened, and each
-// product is added in j order. Only NaN propagation can tell this from
-// dot() — which of two NaN operands an add returns depends on the
-// compiler's operand order — so callers recompute a NaN lane with dot().
+// kRowLanes rows of d floats: each row keeps its own chain in ascending
+// j, exactly as dot(), two rows per register (common/lanes.h — callers
+// redo a NaN lane with dot()).
 template <bool kSelf>
 [[gnu::noinline]] void dot_lanes(const float* const* rows, const float* ref,
                                  std::size_t d, double* out) {
-  using f32x4 = float __attribute__((vector_size(16)));
-  using f64x2 = double __attribute__((vector_size(16)));
-  using f64x4 = double __attribute__((vector_size(32)));
+  using lanes::f64x2;
   f64x2 acc[kRowLanes / 2] = {};
   std::size_t j = 0;
   for (; j + 4 <= d; j += 4) {
-    f64x4 r = {};
+    f64x2 r[4] = {};
     if constexpr (!kSelf) {
-      f32x4 rv;
-      std::memcpy(&rv, ref + j, 16);
-      r = __builtin_convertvector(rv, f64x4);
+      const auto rv = __builtin_convertvector(lanes::load4(ref + j),
+                                              lanes::f64x4);
+      for (int t = 0; t < 4; ++t) r[t] = f64x2{} + rv[t];
     }
     for (std::size_t p = 0; p < kRowLanes / 2; ++p) {
-      f32x4 a, b;
-      std::memcpy(&a, rows[2 * p] + j, 16);
-      std::memcpy(&b, rows[2 * p + 1] + j, 16);
-      // lo = {a[j], b[j], a[j+1], b[j+1]}, hi the same for j+2, j+3.
-      const f64x4 lo =
-          __builtin_convertvector(__builtin_shufflevector(a, b, 0, 4, 1, 5), f64x4);
-      const f64x4 hi =
-          __builtin_convertvector(__builtin_shufflevector(a, b, 2, 6, 3, 7), f64x4);
-      const f64x2 x[4] = {{lo[0], lo[1]}, {lo[2], lo[3]},
-                          {hi[0], hi[1]}, {hi[2], hi[3]}};
-      for (int t = 0; t < 4; ++t)
-        acc[p] += x[t] * (kSelf ? x[t] : f64x2{r[t], r[t]});
+      f64x2 x[4];
+      lanes::interleave_widen(lanes::load4(rows[2 * p] + j),
+                              lanes::load4(rows[2 * p + 1] + j), x);
+      for (int t = 0; t < 4; ++t) acc[p] += x[t] * (kSelf ? x[t] : r[t]);
     }
   }
   for (; j < d; ++j) {
