@@ -45,8 +45,9 @@ inline bool valid_scale(float s) {
   return std::isfinite(s) && !std::signbit(s);
 }
 
-// The codecs whose kernels run one chunk at a time. Their lane hooks
-// loop over the lanes in order, which meets the lane contract trivially.
+// The codecs whose kernels run one chunk at a time (lanes() == 1). Their
+// lane hooks loop over the lanes in order, which meets the lane contract
+// trivially.
 class ChunkwiseCodec : public Codec {
  public:
   using Codec::Codec;
@@ -227,6 +228,8 @@ class Sign1Codec final : public Codec {
   using Codec::Codec;
   CodecKind kind() const override { return CodecKind::kSign1; }
   const char* name() const override { return "sign1"; }
+
+  std::size_t lanes() const override { return kCodecLanes; }
 
   std::size_t chunk_payload_size(std::size_t len) const override {
     return 4 + (len + 7) / 8;

@@ -9,12 +9,13 @@
 //   * encode is a pure function of the chunk's floats — no RNG, no
 //     platform dependence, sequential accumulation inside a chunk — so
 //     encoded bytes are bitwise thread-invariant and reproducible.
-//   * Lane contract: the lane hooks below (encode_chunks, chunk_norm2)
-//     take up to kCodecLanes independent chunks at once so a codec can
-//     batch independent chains across lanes — one accumulator per lane,
-//     side by side in registers — but never reorders the additions
-//     within one chain. Every byte, decoded float and norm is therefore
-//     the one a chunk-at-a-time loop produces.
+//   * Lane contract (common/lanes.h): the lane hooks below
+//     (encode_chunks, chunk_norm2) take up to lanes() <= kCodecLanes
+//     independent chunks at once, so a codec can batch independent
+//     chains across lanes — one accumulator per lane, side by side in
+//     registers — but never reorders the additions within one chain.
+//     Every byte, decoded float and norm is therefore the one a
+//     chunk-at-a-time loop produces.
 //   * chunk_payload_size() depends only on the chunk length, never on
 //     the data, so every chunk's output offset is computable up front
 //     and chunks can be encoded/decoded concurrently into disjoint
@@ -110,12 +111,18 @@ class Codec {
   // Coordinates per wire chunk (every chunk but the row's tail).
   std::size_t chunk() const { return chunk_; }
 
+  // Chunks the lane hooks below take per call, in [1, kCodecLanes].
+  // Callers group a row's chunks (encode) or a round's rows (norms) by
+  // it, so a codec that works one chunk at a time keeps one fan-out unit
+  // per chunk or row.
+  virtual std::size_t lanes() const { return 1; }
+
   // Exact payload size of a chunk of `len` coordinates. Data-independent
   // by contract (see file header).
   virtual std::size_t chunk_payload_size(std::size_t len) const = 0;
 
   // Encodes count = in.size() / len consecutive chunks of one row,
-  // 1 <= count <= kCodecLanes, each of `len` coordinates: chunk l reads
+  // 1 <= count <= lanes(), each of `len` coordinates: chunk l reads
   // in[l * len, (l + 1) * len) and writes exactly
   // chunk_payload_size(len) bytes at out + l * stride (see the lane
   // contract above).
@@ -145,7 +152,7 @@ class Codec {
                               std::size_t len) const = 0;
 
   // Continues count = payloads.size() independent squared-norm chains,
-  // 1 <= count <= kCodecLanes: payloads[l] is one row's payload of the
+  // 1 <= count <= lanes(): payloads[l] is one row's payload of the
   // same `len`-coordinate chunk, and acc[l] continues that row's chain
   // over its decoded chunk in coordinate order. Per lane bitwise
   // identical to

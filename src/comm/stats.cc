@@ -79,12 +79,13 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
   const WireLayout l = wire_layout(codec, wire.d);
   const std::size_t n = wire.uplinks.size();
   std::vector<double> out(n, 0.0);
-  // Rows in groups of kCodecLanes, one norm chain per row: the codec
+  // Rows in groups of codec.lanes(), one norm chain per row: the codec
   // continues the group's chains chunk by chunk, side by side.
-  const std::size_t groups = (n + kCodecLanes - 1) / kCodecLanes;
+  const std::size_t width = codec.lanes();
+  const std::size_t groups = (n + width - 1) / width;
   common::parallel_for(groups, [&](std::size_t g) {
-    const std::size_t i0 = g * kCodecLanes;
-    const std::size_t count = std::min(kCodecLanes, n - i0);
+    const std::size_t i0 = g * width;
+    const std::size_t count = std::min(width, n - i0);
     const std::uint8_t* payloads[kCodecLanes];
     double acc[kCodecLanes] = {};
     for (std::size_t c = 0; c < l.n_chunks; ++c) {

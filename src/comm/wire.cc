@@ -160,21 +160,22 @@ void encode_into(const Codec& codec, std::span<const float> row,
     put_u32(out.data() + kWireHeaderSize + c * l.full_record,
             static_cast<std::uint32_t>(codec.chunk_payload_size(len)));
   }
-  // The full chunks go to the codec kCodecLanes at a time and a short
+  // The full chunks go to the codec codec.lanes() at a time and a short
   // tail chunk on its own. Records land at precomputed offsets, so the
   // group fan-out writes disjoint byte ranges — bitwise thread-invariant
   // by construction.
-  const std::size_t full = l.tail_len == chunk ? l.n_chunks : l.n_chunks - 1;
-  const std::size_t full_groups = (full + kCodecLanes - 1) / kCodecLanes;
-  const std::size_t groups = full_groups + (full < l.n_chunks ? 1 : 0);
+  const std::size_t width = codec.lanes();
+  const bool short_tail = l.n_chunks > 0 && l.tail_len < chunk;
+  const std::size_t full = l.n_chunks - (short_tail ? 1 : 0);
+  const std::size_t full_groups = (full + width - 1) / width;
+  const std::size_t groups = full_groups + (short_tail ? 1 : 0);
   for_chunks(d, groups,
              [&](std::size_t begin, std::size_t end, std::size_t worker) {
                CodecScratch& s = scratch[worker];
                for (std::size_t g = begin; g < end; ++g) {
                  const bool tail = g == full_groups;
-                 const std::size_t c = tail ? full : g * kCodecLanes;
-                 const std::size_t count =
-                     tail ? 1 : std::min(kCodecLanes, full - c);
+                 const std::size_t c = tail ? full : g * width;
+                 const std::size_t count = tail ? 1 : std::min(width, full - c);
                  const std::size_t len = tail ? l.tail_len : chunk;
                  codec.encode_chunks(
                      row.subspan(c * chunk, count * len), len,
