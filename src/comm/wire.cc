@@ -84,11 +84,10 @@ constexpr std::size_t kFanOutMinCoords = std::size_t{1} << 18;
 void for_chunks(
     std::size_t d, std::size_t units,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (d < kFanOutMinCoords) {
-    if (units > 0) fn(0, units, 0);
-  } else {
+  if (d < kFanOutMinCoords)
+    fn(0, units, 0);
+  else
     common::parallel_chunks(units, fn);
-  }
 }
 
 }  // namespace
