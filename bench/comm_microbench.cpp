@@ -104,7 +104,9 @@ void bench_codec(comm::CodecKind kind, std::size_t d) {
   const double dec_gbps = dense_gb / (dec_usec * 1e-6);
   report.row("decode", codec->name(), d, 1, dec_usec, dec_gbps);
   // Pool-threaded decode of the same buffer: chunk records fan out over
-  // the pool into disjoint coordinate ranges (bitwise-identical rows).
+  // the pool into disjoint coordinate ranges (bitwise-identical rows) —
+  // at d=1M; a d=100k row is under the wire layer's fan-out threshold
+  // and decodes inline.
   common::set_thread_count(4);
   const double dec4_usec = timer.time_usec(decode_op);
   report.row("decode", codec->name(), d, 4, dec4_usec,

@@ -228,6 +228,12 @@ TEST(SweepEngine, RejectsDuplicateIds) {
         << e.what();
   }
   EXPECT_EQ(runs, 0u);
+  // Listing the grid (sweep_runner --list) goes through the same check.
+  auto listed = specs;
+  EXPECT_THROW(canonical_order(listed), std::invalid_argument);
+  listed = {specs[2], specs[0]};
+  canonical_order(listed);
+  EXPECT_LT(listed[0].id(), listed[1].id());
 }
 
 TEST(WriteJsonl, TimingFieldsAreOptIn) {
