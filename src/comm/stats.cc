@@ -82,6 +82,7 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
   // Rows in groups of codec.lanes(), one norm chain per row: the codec
   // continues the group's chains chunk by chunk, side by side.
   const std::size_t width = codec.lanes();
+  assert(width >= 1 && width <= kCodecLanes);
   const std::size_t groups = (n + width - 1) / width;
   common::parallel_for(groups, [&](std::size_t g) {
     const std::size_t i0 = g * width;

@@ -1,17 +1,18 @@
 #pragma once
 // Register types for the kernels that run independent double chains side
 // by side: the sign1 codec's scale sums and wire norms (comm/codec.cc)
-// and vec::row_norms / vec::row_dots. GCC vector extensions — each type
-// is one SSE2 register on baseline x86-64, and generic vector or scalar
-// code elsewhere.
+// and vec::row_norms / vec::row_dots. GCC vector extensions — each
+// 16-byte type is one SSE2 register on baseline x86-64 (f64x4 is two),
+// and generic vector or scalar code elsewhere.
 //
 // Lane contract: batch independent chains across lanes, never reorder the
 // additions within one chain. Lane l of an f64x2 accumulator adds exactly
 // the terms, in exactly the order, that a one-chain loop would, so its
 // result is bitwise that loop's. The one thing a lane cannot promise is
 // which NaN comes out when two NaN operands meet (IEEE leaves it to the
-// operand order the compiler picks), so every lane kernel recomputes a
-// NaN result with its one-chain reference.
+// operand order the compiler picks), so a lane kernel whose input can
+// hold a NaN recomputes a NaN result with its one-chain reference. (The
+// sign1 wire norms add squares of validated, finite scales: no NaN.)
 
 #include <cstdint>
 #include <cstring>
