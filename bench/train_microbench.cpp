@@ -7,11 +7,15 @@
 // Usage:
 //   ./train_microbench [--json=BENCH_train.json] [--min-ms=80]
 //                      [--assert-cnn-speedup=1.2]
+//                      [--assert-gram-shape-speedup=4]
 //
 // --assert-cnn-speedup makes the binary exit non-zero unless the tiled
 // backend beats the reference backend on CNN end-to-end client-round
 // throughput by at least the given factor — CI uses it as a smoke guard
 // against a silent fallback to the reference loops.
+// --assert-gram-shape-speedup is the same floor on the tall-k Gram shape
+// (gemm_shapes row gram_nt_64x100x18706), which only a k-blocked tiled
+// path runs at speed.
 
 #include <cstdio>
 #include <string>
@@ -118,6 +122,66 @@ void bench_gemm() {
   }
 }
 
+// The products one round issues, by orientation and (m, n, k): the paper
+// CNN's per-sample conv GEMMs (16x16 input, 6 then 12 channels; conv1 is
+// the first layer, so it has no input gradient), the grid MLP's Linear
+// forward at batch 8, and one 64-row block of bulyan-int8's pairwise Gram
+// (n=100, d=18,706). rate is GFLOP/s. Returns the tiled speedup on the
+// Gram shape.
+double bench_gemm_shapes() {
+  struct Shape {
+    const char* name;
+    char kind;  // 'n': gemm_nn, 't': gemm_nt, 'a': gemm_tn
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {"conv1_fwd_nn_6x256x9", 'n', 6, 256, 9},
+      {"conv1_wgrad_nt_6x9x256", 't', 6, 9, 256},
+      {"conv2_fwd_nn_12x64x54", 'n', 12, 64, 54},
+      {"conv2_wgrad_nt_12x54x64", 't', 12, 54, 64},
+      {"conv2_dx_tn_54x64x12", 'a', 54, 64, 12},
+      {"linear_fwd_nt_8x128x256", 't', 8, 128, 256},
+      {"gram_nt_64x100x18706", 't', 64, 100, 18706},
+  };
+  Rng rng(3);
+  double gram_speedup = 0.0;
+  for (const Shape& s : shapes) {
+    // Every orientation reads m*k floats of A and k*n of B; only the
+    // leading dimensions differ.
+    const std::vector<float> a = rng.normal_vector(s.m * s.k);
+    const std::vector<float> b = rng.normal_vector(s.k * s.n);
+    std::vector<float> c(s.m * s.n, 0.0f);
+    double usec[2] = {};
+    for (const auto backend :
+         {nn::GemmBackend::kReference, nn::GemmBackend::kTiled}) {
+      nn::set_gemm_backend(backend);
+      const double t = timer.time_usec([&] {
+        switch (s.kind) {
+          case 'n':
+            nn::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c.data(),
+                        s.n, false);
+            break;
+          case 't':
+            nn::gemm_nt(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k, c.data(),
+                        s.n, false);
+            break;
+          default:
+            nn::gemm_tn(s.m, s.n, s.k, a.data(), s.m, b.data(), s.n, c.data(),
+                        s.n, false);
+        }
+      });
+      usec[backend == nn::GemmBackend::kTiled] = t;
+      report.row("gemm_shapes", s.name, backend_name(backend), t,
+                 2.0 * double(s.m) * s.n * s.k / (t * 1e-6) / 1e9);
+    }
+    if (s.k > 1000) {
+      gram_speedup = usec[0] / usec[1];
+      report.row("speedup", s.name, "tiled_vs_ref", usec[1], gram_speedup);
+    }
+  }
+  return gram_speedup;
+}
+
 // End-to-end: one client-round = sample a batch, forward, loss, backward,
 // flatten the gradient — exactly fl::Client::compute_gradient_into.
 double bench_client_round(fl::Workload& w, nn::GemmBackend backend) {
@@ -155,12 +219,16 @@ int main(int argc, char** argv) {
   bench::Gates gates(argc, argv,
                      {{"cnn-speedup", bench::Bound::kFloor,
                        "tiled CNN client-round speedup: the GEMM path "
-                       "regressed or silently fell back"}});
+                       "regressed or silently fell back"},
+                      {"gram-shape-speedup", bench::Bound::kFloor,
+                       "tiled tall-k Gram speedup: k-blocking or the "
+                       "register tile regressed"}});
   timer.set_min_ms(bench::number_arg(argc, argv, "min-ms", 80));
   const std::string json_path =
       bench::arg_value(argc, argv, "json", "BENCH_train.json");
 
   bench_gemm();
+  const double gram = bench_gemm_shapes();
   bench_layers();
   const double mlp = bench_workload("mlp", fl::WorkloadKind::kMnistLike,
                                     fl::ModelProfile::kGrid);
@@ -172,5 +240,6 @@ int main(int argc, char** argv) {
               "rnn %.2fx\n",
               mlp, cnn, rnn);
   gates.measure("cnn-speedup", cnn);
+  gates.measure("gram-shape-speedup", gram);
   return bench::finish(report, json_path, gates);
 }

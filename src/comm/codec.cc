@@ -223,6 +223,10 @@ void sign_bits(const float* x, std::size_t len, std::uint8_t* bits) {
   }
 }
 
+// The scale sign1 writes for a chunk that holds a NaN: the default quiet
+// NaN, so its bytes do not depend on the build. decode rejects it.
+constexpr float kSign1NanScale = std::bit_cast<float>(0x7fc00000u);
+
 class Sign1Codec final : public Codec {
  public:
   using Codec::Codec;
@@ -254,7 +258,10 @@ class Sign1Codec final : public Codec {
       abs_sum_lanes(in.data(), len, count, sum);
     for (std::size_t l = 0; l < count; ++l) {
       std::uint8_t* rec = out + l * stride;
-      put_f32(rec, static_cast<float>(sum[l] / double(len)));
+      // A chunk holding a NaN sums to one of its NaNs, and which one
+      // follows the compiler's operand order; the wire gets one pattern.
+      const float scale = static_cast<float>(sum[l] / double(len));
+      put_f32(rec, std::isnan(scale) ? kSign1NanScale : scale);
       sign_bits(in.data() + l * len, len, rec + 4);
     }
   }

@@ -1,9 +1,11 @@
 #pragma once
-// Register types for the kernels that run independent double chains side
-// by side: the sign1 codec's scale sums and wire norms (comm/codec.cc)
-// and vec::row_norms / vec::row_dots. GCC vector extensions — each
-// 16-byte type is one SSE2 register on baseline x86-64 (f64x4 is two),
-// and generic vector or scalar code elsewhere.
+// Register types for the kernels that run independent chains side by
+// side: the sign1 codec's scale sums and wire norms (comm/codec.cc),
+// vec::row_norms / vec::row_dots, nn::add_row_sums and the GEMM
+// micro-kernel (nn/gemm.cc). GCC vector extensions — each 16-byte type is
+// one SSE2 register on baseline x86-64 (f64x4 and f32x8 are two; f32x8 is
+// one ymm register in the GEMM's AVX2 clone), and generic vector or
+// scalar code elsewhere.
 //
 // Lane contract: batch independent chains across lanes, never reorder the
 // additions within one chain. Lane l of an f64x2 accumulator adds exactly
@@ -20,6 +22,7 @@
 namespace signguard::lanes {
 
 using f32x4 = float __attribute__((vector_size(16)));
+using f32x8 = float __attribute__((vector_size(32)));
 using f64x2 = double __attribute__((vector_size(16)));
 using f64x4 = double __attribute__((vector_size(32)));
 using i32x4 = std::int32_t __attribute__((vector_size(16)));
@@ -29,6 +32,20 @@ inline f32x4 load4(const float* p) {
   f32x4 v;
   std::memcpy(&v, p, 16);
   return v;
+}
+
+// The 4 x 4 transpose: out[q][r] = in[r][q]. Lane r of out[q] is element
+// q of chain r, so four chains' next four terms arrive one step per
+// register.
+inline void transpose4(const f32x4 in[4], f32x4 out[4]) {
+  const f32x4 t0 = __builtin_shufflevector(in[0], in[1], 0, 4, 1, 5);
+  const f32x4 t1 = __builtin_shufflevector(in[0], in[1], 2, 6, 3, 7);
+  const f32x4 t2 = __builtin_shufflevector(in[2], in[3], 0, 4, 1, 5);
+  const f32x4 t3 = __builtin_shufflevector(in[2], in[3], 2, 6, 3, 7);
+  out[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  out[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  out[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  out[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
 }
 
 // Four consecutive floats of two chains, a = x_a[j..j+3] and

@@ -7,20 +7,31 @@
 // directly — no col-major conversion, no staging copies.
 //
 // Two backends share one numeric contract:
-//   kTiled     — register-tiled (4x8 accumulator block), cache-blocked
-//                packing of A/B panels, row-panel parallelism over the
-//                common::parallel pool.
+//   kTiled     — a 6 x 16 register tile (twelve 8-float accumulators, one
+//                ymm register each in the AVX2 clone; the baseline x86-64
+//                clone is correct but not tuned), k-blocked packing
+//                (kc = 256, so a packed B block of 256 x n floats stays
+//                in L2), row-panel parallelism over the common::parallel
+//                pool with one dispatch per call.
 //   kReference — the plain per-element triple loop (the pre-GEMM scalar
 //                path), used as the correctness oracle and the baseline
 //                the train microbench compares against.
 //
+// Edge policy: a tile that sticks out past m or n (m = 6 or 12 and n = 9
+// or 54 in the CNN, the 4-column tail at n = 100 in the Gram) runs the
+// full kernel on zero-padded panels into a local tile, and only its valid
+// lanes are stored. Padded lanes never mix into a valid one.
+//
 // Determinism: for every output element C[i][j], both backends accumulate
 // a_ip * b_pj over p = 0..k-1 strictly in order, in float, into a single
-// accumulator (initialized from C[i][j] when accumulate is set). Register
-// tiling only batches *independent* accumulators, and the parallel split
-// assigns whole output rows to workers, so results are bit-identical
-// across backends, tile shapes and SIGNGUARD_THREADS values. gemm.cc is
-// compiled with -ffp-contract=off so no backend silently fuses into FMA.
+// accumulator (initialized from C[i][j] when accumulate is set, else from
+// +0.0f). Between k-blocks the accumulator goes to C and comes back
+// exactly, so blocking does not change it. Register tiling only batches
+// *independent* accumulators, and the parallel split assigns whole output
+// rows to workers, so results are bit-identical across backends, tile
+// shapes and SIGNGUARD_THREADS values — up to which NaN comes out when two
+// NaNs meet (common/lanes.h). gemm.cc is compiled with -ffp-contract=off
+// so no backend silently fuses into FMA.
 
 #include <cstddef>
 
@@ -61,7 +72,9 @@ void add_bias_cols(float* c, std::size_t m, std::size_t n, std::size_t ldc,
 void add_col_sums(const float* a, std::size_t m, std::size_t n,
                   std::size_t lda, float* out);
 
-// out[i] += sum_j a[i][j] (bias gradient of a [channels x hw] grad block).
+// out[i] += sum_j a[i][j] (bias gradient of a [channels x hw] grad block):
+// one float chain per row in ascending j, 8 rows side by side under the
+// common/lanes.h contract.
 void add_row_sums(const float* a, std::size_t m, std::size_t n,
                   std::size_t lda, float* out);
 

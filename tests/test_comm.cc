@@ -145,6 +145,35 @@ TEST(CommCodec, Sign1PreservesSignStatisticsExactly) {
     EXPECT_EQ(std::signbit(row[j]), std::signbit(decoded[j])) << j;
 }
 
+// A chunk holding a NaN gets a NaN scale, and sign1 writes it as the one
+// quiet NaN 0x7fc00000 (little-endian 00 00 c0 7f) whichever NaNs the
+// chunk held — on the lone-chunk path and in a lane group alike — so the
+// bytes do not depend on the build. decode rejects such a chunk.
+TEST(CommCodec, Sign1NanScaleIsCanonical) {
+  const std::size_t len = 16;
+  const auto codec = comm::make_codec(spec_of(CodecKind::kSign1, len));
+  const std::size_t rec = codec->chunk_payload_size(len);
+  std::vector<float> in(comm::kCodecLanes * len, 0.5f);
+  for (std::size_t l = 0; l < comm::kCodecLanes; ++l) {
+    in[l * len + 3] = std::bit_cast<float>(0x7fc00001u + std::uint32_t(l));
+    if (l % 2 == 0)
+      in[l * len + 9] = std::bit_cast<float>(0xffc00100u + std::uint32_t(l));
+  }
+  const std::uint8_t canonical[4] = {0x00, 0x00, 0xc0, 0x7f};
+  comm::CodecScratch scratch;
+  for (const std::size_t count : {std::size_t{1}, comm::kCodecLanes}) {
+    std::vector<std::uint8_t> out(count * rec, 0xaa);
+    codec->encode_chunks({in.data(), count * len}, len, out.data(), rec,
+                         scratch);
+    for (std::size_t l = 0; l < count; ++l) {
+      EXPECT_EQ(0, std::memcmp(out.data() + l * rec, canonical, 4))
+          << "count " << count << " chunk " << l;
+      std::vector<float> decoded(len);
+      EXPECT_FALSE(codec->decode_chunk({out.data() + l * rec, rec}, decoded));
+    }
+  }
+}
+
 TEST(CommCodec, Int8StaysWithinHalfAQuantizationStep) {
   Rng rng(17);
   const auto codec = comm::make_codec(spec_of(CodecKind::kInt8, 512));

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/gradient_matrix.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/vecops.h"
 #include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/loss.h"
@@ -61,45 +65,6 @@ class BackendGuard {
   GemmBackend saved_;
 };
 
-void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
-                             std::size_t k, bool accumulate,
-                             std::uint64_t seed) {
-  Rng rng(seed);
-  // Operand storage sized for either orientation of the transposed side.
-  const std::vector<float> a = random_vec(rng, std::max<std::size_t>(1, m * k));
-  const std::vector<float> b = random_vec(rng, std::max<std::size_t>(1, n * k));
-  const std::vector<float> c0 = random_vec(rng, std::max<std::size_t>(1, m * n));
-  const std::size_t lda = kind == Kind::kTN ? m : k;
-  const std::size_t ldb = kind == Kind::kNT ? k : n;
-
-  std::vector<float> c_ref = c0, c_tiled = c0;
-  set_gemm_backend(GemmBackend::kReference);
-  run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_ref.data(), n,
-           accumulate);
-  set_gemm_backend(GemmBackend::kTiled);
-  run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_tiled.data(), n,
-           accumulate);
-  ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
-                           c_ref.size() * sizeof(float)))
-      << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
-      << " accumulate=" << accumulate;
-}
-
-TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
-  const BackendGuard guard;
-  // Degenerate, odd, rectangular, and tile-boundary (multiples of the
-  // 4x8 micro-tile ± 1) shapes for all three orientations.
-  const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 17};
-  const std::size_t ns[] = {1, 7, 8, 9, 16, 31, 33};
-  const std::size_t ks[] = {1, 2, 13, 64};
-  std::uint64_t seed = 1;
-  for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
-    for (const std::size_t m : ms)
-      for (const std::size_t n : ns)
-        for (const std::size_t k : ks)
-          expect_backends_bitwise(kind, m, n, k, (seed % 2) == 0, ++seed);
-}
-
 TEST(GemmBitwise, KZeroWritesOrPreservesC) {
   const BackendGuard guard;
   Rng rng(3);
@@ -133,6 +98,135 @@ TEST(GemmBitwise, ThreadCountInvariant) {
   ASSERT_EQ(0, std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)));
 }
 
+// Bitwise equality with one exception from the lane contract
+// (common/lanes.h): which NaN two NaN operands yield follows the
+// compiler's operand order, so NaN lanes are compared as "both NaN".
+bool same_or_both_nan(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+// Operand values for the differential grid: mostly gaussians, with ±0
+// and denormals sprinkled everywhere. ±inf sits only where `inf_ok`, so
+// most outputs stay finite and are compared bit for bit.
+float grid_value(Rng& rng, bool inf_ok) {
+  const double u = rng.uniform();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  if (u < 0.04) return u < 0.02 ? 0.0f : -0.0f;
+  if (u < 0.08) return float(rng.randint(1, 1000)) * (u < 0.06 ? kDenorm : -kDenorm);
+  if (inf_ok && u < 0.12) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    return u < 0.10 ? kInf : -kInf;
+  }
+  return static_cast<float>(rng.normal());
+}
+
+// One grid case, logical operands A [m x k], B [k x n], C0 [m x n]. A's
+// row 0 and B's column 1 hold the infinities, and where A(0, p) is inf
+// the first B column is 0, so inf * 0 products (NaN lanes) appear too.
+// A's row 2 is all -0.0 over a -0.0 row of C0 and B's column 2 is >= 0,
+// so C[2][2] is -0.0 when accumulating and +0.0 when not: that pins the
+// accumulator's start value. Storage leading dimensions are 3 wider than the
+// logical width; the A/B slack holds NaN (a read of it would show) and
+// C's slack a sentinel that must survive.
+struct GridCase {
+  Kind kind;
+  std::size_t m, n, k, lda, ldb, ldc;
+  std::vector<float> a, b, c0;
+
+  GridCase(Kind kind_, std::size_t m_, std::size_t n_, std::size_t k_,
+           std::uint64_t seed)
+      : kind(kind_), m(m_), n(n_), k(k_) {
+    Rng rng(seed);
+    const float kNaN = std::numeric_limits<float>::quiet_NaN();
+    const bool a_t = kind == Kind::kTN, b_t = kind == Kind::kNT;
+    lda = (a_t ? m : k) + 3;
+    ldb = (b_t ? k : n) + 3;
+    ldc = n + 3;
+    a.assign((a_t ? k : m) * lda, kNaN);
+    b.assign((b_t ? n : k) * ldb, kNaN);
+    c0.assign(m * ldc, 12345.0f);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t p = 0; p < k; ++p) {
+        const float v = i == 2 ? -0.0f : grid_value(rng, i == 0);
+        (a_t ? a[p * lda + i] : a[i * lda + p]) = v;
+      }
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < n; ++j) {
+        float v = grid_value(rng, j == 1);
+        if (j == 2) v = std::fabs(v);
+        if (j == 0 && m > 0 && std::isinf(a_t ? a[p * lda] : a[p])) v = 0.0f;
+        (b_t ? b[j * ldb + p] : b[p * ldb + j]) = v;
+      }
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        c0[i * ldc + j] = i == 2 ? -0.0f : grid_value(rng, i == 3);
+  }
+
+  std::vector<float> run(GemmBackend backend, bool accumulate) const {
+    std::vector<float> c = c0;
+    set_gemm_backend(backend);
+    run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc,
+             accumulate);
+    return c;
+  }
+};
+
+// Tiled vs reference over the shapes around the 6 x 16 tile and the
+// 256-deep k-block (±1 of each, plus the shapes rounds issue), every
+// orientation, both accumulate modes, at 1 and 4 threads.
+TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
+  const BackendGuard guard;
+  const std::size_t ms[] = {1, 5, 6, 7, 12, 13, 64, 100};
+  const std::size_t ns[] = {1, 9, 15, 16, 17, 33, 100};
+  const std::size_t ks[] = {1, 9, 255, 256, 257, 600};
+  for (const std::size_t threads : {1, 4}) {
+    common::set_thread_count(threads);
+    std::uint64_t seed = 100;
+    for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
+      for (const std::size_t m : ms)
+        for (const std::size_t n : ns)
+          for (const std::size_t k : ks) {
+            const GridCase g(kind, m, n, k, ++seed);
+            for (const bool accumulate : {false, true}) {
+              const auto ref = g.run(GemmBackend::kReference, accumulate);
+              const auto tiled = g.run(GemmBackend::kTiled, accumulate);
+              std::size_t bad = 0;
+              for (std::size_t i = 0; i < ref.size(); ++i)
+                bad += !same_or_both_nan(ref[i], tiled[i]);
+              ASSERT_EQ(bad, 0u)
+                  << "kind=" << int(kind) << " m=" << m << " n=" << n
+                  << " k=" << k << " accumulate=" << accumulate
+                  << " threads=" << threads;
+              for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = n; j < g.ldc; ++j)
+                  ASSERT_EQ(tiled[i * g.ldc + j], 12345.0f);
+            }
+          }
+  }
+  common::set_thread_count(0);
+}
+
+// The tall-k Gram: bulyan-int8's n=100 rows of d=18,706 run 74 k-blocks
+// per entry, and the pairwise distances must not notice.
+TEST(GemmBitwise, TallKPairwiseDist2MatchesReferenceGemm) {
+  const BackendGuard guard;
+  const vec::DistBackend saved = vec::dist_backend();
+  vec::set_dist_backend(vec::DistBackend::kGram);
+  Rng rng(19);
+  common::GradientMatrix g(100, 18706);
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    for (float& v : g.row(i)) v = static_cast<float>(rng.normal());
+  set_gemm_backend(GemmBackend::kReference);
+  const std::vector<double> ref = vec::pairwise_dist2(g);
+  set_gemm_backend(GemmBackend::kTiled);
+  const std::vector<double> tiled = vec::pairwise_dist2(g);
+  vec::set_dist_backend(saved);
+  ASSERT_EQ(ref.size(), tiled.size());
+  EXPECT_EQ(0, std::memcmp(ref.data(), tiled.data(),
+                           ref.size() * sizeof(double)));
+}
+
 TEST(GemmHelpers, BiasBroadcastsAndSums) {
   std::vector<float> c = {0, 0, 0, 0, 0, 0};  // 2x3
   const std::vector<float> row_bias = {1, 2, 3};
@@ -146,6 +240,54 @@ TEST(GemmHelpers, BiasBroadcastsAndSums) {
   EXPECT_EQ(cols, (std::vector<float>{32, 34, 36}));
   add_row_sums(c.data(), 2, 3, 3, rows.data());
   EXPECT_EQ(rows, (std::vector<float>{136, 166}));
+}
+
+// add_row_sums runs 8 rows' chains side by side; each must be the
+// serial out[i] + a[i][0] + a[i][1] + ... chain. Rows with NaNs (two
+// payloads), infinities of both signs (inf - inf is NaN) and -0.0 sums
+// cover the NaN redo and the sign of zero.
+TEST(GemmHelpers, RowSumsMatchSerialChains) {
+  Rng rng(23);
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN1 = std::bit_cast<float>(0x7fc00001u);
+  const float kNaN2 = std::bit_cast<float>(0xffc00002u);
+  for (const std::size_t m : {1, 3, 6, 8, 12, 13, 17})
+    for (const std::size_t n : {0, 1, 3, 4, 7, 64, 67, 256}) {
+      const std::size_t lda = n + 2;
+      std::vector<float> a(m * lda, 999.0f), out(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        out[i] = i % 5 == 4 ? -0.0f : static_cast<float>(rng.normal());
+        for (std::size_t j = 0; j < n; ++j) {
+          float v = static_cast<float>(rng.normal());
+          switch (i % 5) {
+            case 1:  // NaNs of two payloads
+              if (j % 3 == 1) v = j % 2 ? kNaN1 : kNaN2;
+              break;
+            case 2:  // +inf and -inf: NaN once both are in
+              if (j % 4 == 2) v = j % 8 == 2 ? kInf : -kInf;
+              break;
+            case 3:  // +inf only
+              if (j == n / 2) v = kInf;
+              break;
+            case 4:  // a -0.0 chain
+              v = -0.0f;
+              break;
+          }
+          a[i * lda + j] = v;
+        }
+      }
+      std::vector<float> expect = out;
+      for (std::size_t i = 0; i < m; ++i) {
+        float acc = expect[i];
+        for (std::size_t j = 0; j < n; ++j) acc += a[i * lda + j];
+        expect[i] = acc;
+      }
+      add_row_sums(a.data(), m, n, lda, out.data());
+      for (std::size_t i = 0; i < m; ++i)
+        EXPECT_TRUE(same_or_both_nan(out[i], expect[i]))
+            << "m=" << m << " n=" << n << " row " << i << ": " << out[i]
+            << " vs " << expect[i];
+    }
 }
 
 // ---------------------------------------------------------------- Conv2d
