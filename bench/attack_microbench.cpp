@@ -86,8 +86,8 @@ void bench_scoreboard(std::size_t rounds) {
   grid.attacks = {"NoAttack", "MinMax"};
   grid.gars = gars;
   grid.adaptives = {false, true};
-  grid.rounds = rounds;
-  grid.n_clients = kClients;
+  grid.base.rounds = rounds;
+  grid.base.n_clients = kClients;
   Stopwatch w;
   const auto results = run_cells(grid.expand());
   report.row("scoreboard", "wall", w.seconds(), "s");

@@ -7,15 +7,17 @@
 // the Table-I-style summary go to stderr so `sweep_runner > run.jsonl`
 // stays clean.
 //
-// Usage (all list args comma-separated; defaults form a 24-scenario
-// smoke grid):
-// Run `sweep_runner --help` for the full axis set with defaults; --list
+// `sweep_runner --help` prints every flag with its default; --list
 // prints the expanded scenario ids in canonical order without running
-// anything. A grid with a repeated id exits 2, listed or run.
-// Scale via SIGNGUARD_SCALE=smoke|default|full (rounds=0 resolves to it).
+// anything. A malformed value, an unknown flag or a grid with a repeated
+// id exits 2, listed or run. Scale via SIGNGUARD_SCALE=smoke|default|full
+// (rounds=0 resolves to it).
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -31,123 +33,252 @@ namespace {
 
 using namespace signguard;
 
-// The full axis set with defaults (satisfying `--help` and the header
-// comment above in one place). Kept in sync with the parsing below — a
-// new axis lands in both or the help is lying.
-void print_usage() {
-  std::string profiles;
-  for (const auto& p : fl::fault_profile_names())
-    (profiles += profiles.empty() ? "" : "|") += p;
-  std::fprintf(stderr, R"(sweep_runner: scenario-sweep CLI over fl::run_sweep.
+// Everything the command line sets: the engine options, the grid and the
+// runner's own switches.
+struct Cli : fl::SweepOptions {
+  fl::SweepGrid grid;
+  std::string out_path, trace_dir;
+  bool help = false, list = false, summary = false, profile = false;
+};
+using Set = std::function<void(Cli&, const std::string&)>;
 
-Grid axes (comma-separated lists; one scenario per combination):
-  --workloads=LIST      workloads                    [MNIST-like]
-  --attacks=LIST        attack names                 [NoAttack,SignFlip,LIE,ByzMean]
-  --gars=LIST           aggregation rules            [Mean,Median,SignGuard]
-                        ("table1" expands to every Table-I defense)
-  --skews=LIST          "iid" or non-IID s in [0,1]  [iid,0.5]
-  --byz=LIST            Byzantine fractions          [0.2]
-  --participation=LIST  sampled client fractions     [1.0]
-  --dropout=LIST        per-round dropout probs      [0.0]
-  --straggler=LIST      per-round straggler probs    [0.0]
-  --codecs=LIST         none|sign1|int8|topk         [none]
-  --shards=LIST         shard counts (1 = flat)      [1]
-  --faults=LIST         %s  [none]
-  --deadline=LIST       uplink deadlines, ms (0 = unbounded)  [0]
-  --churn=LIST          churn leave probability      [0.0]
-  --adaptive=LIST       0|1: feedback-driven amplitude adaptation  [0]
-  --wirecraft=LIST      0|1: codec-aware wire crafting             [0]
-  --collude=LIST        chaos-colluding base fraction (0 = off)    [0]
+// One row of the flag table, which drives both parsing and --help. `usage`
+// is "name=ARG" for a flag that takes a value and a bare "name" for a
+// switch. `fallback` (nullptr: none) is parsed before the arguments, so
+// the default --help prints is the one that runs. A row without a usage
+// is a --help section heading.
+struct Flag {
+  const char* usage;
+  const char* fallback;
+  std::string help;
+  Set set;
+  std::string name() const { return {usage, std::strcspn(usage, "=")}; }
+  bool takes_value() const { return std::strchr(usage, '='); }
+};
 
-Grid-wide scalars:
-  --model=grid|paper    model profile                [grid]
-  --codec-chunk=N       coords per wire chunk        [4096]
-  --codec-k=F           top-k keep fraction          [0.05]
-  --shard-merge=NAME    wmean|momed                  [wmean]
-  --churn-absence=F     mean churn absence, rounds   [2.0]
-  --quorum-min=N        min gradients at aggregator  [0 = policy off]
-  --quorum-survivors=N  min post-filter survivors    [0]
-  --quorum-action=NAME  cmean|prev|skip              [cmean]
-  --rounds=N            rounds (0 = scale default)   [0]
-  --clients=N           clients (0 = scale default)  [0]
-  --seed=N              sweep seed                   [7]
-
-Checkpoint / crash recovery (fl/checkpoint.h):
-  --checkpoint-dir=DIR  per-scenario checkpoint files in DIR  [off]
-  --checkpoint-every=N  save cadence, rounds         [1]
-  --resume              continue from existing checkpoints
-  --halt-after-round=N  simulated kill after N rounds (0 = off)
-
-Output:
-  --out=FILE            JSONL to FILE instead of stdout
-  --timing              include wall/cpu seconds in the JSONL
-  --no-round-checksums  omit the per-round checksum arrays
-  --summary             Table-I-style text summary on stderr
-  --list                print expanded scenario ids in canonical order,
-                        run nothing
-  --help                this text
-
-Observability (src/obs; see ARCHITECTURE.md "Observability"):
-  --obs                 per-round deterministic work counters in the
-                        JSONL ("obs" block; bit-identical across
-                        SIGNGUARD_THREADS)
-  --profile             per-scenario per-stage cost table on stderr
-                        (implies --obs, plus coordinator stage timing
-                        in the JSONL)
-  --trace-out=DIR       enable timing spans (as if SIGNGUARD_TRACE=1)
-                        and write DIR/trace.json (Chrome trace_event,
-                        Perfetto-loadable) + DIR/metrics.prom
-
-Scale via SIGNGUARD_SCALE=smoke|default|full. JSONL streams to stdout in
-canonical id order, bit-identical for any SIGNGUARD_THREADS.
-)",
-               profiles.c_str());
+// The value parsers, picked by the type of the member a flag sets. Each
+// takes the whole string or throws std::invalid_argument holding what it
+// expected. Names (attacks, GARs, codecs, faults, merge and quorum rules)
+// pass unchecked: an unknown one surfaces per scenario in the results.
+template <class T>
+T must(std::optional<T> v, const std::string& expected) {
+  if (!v) throw std::invalid_argument(expected);
+  return *v;
 }
-
-// Every item of the comma list --key (`fallback` when absent) through
-// `parse`; an empty list or an item `parse` rejects exits 2 naming the
-// flag. Names (attacks, GARs, codecs, faults) pass through unchecked:
-// an unknown one surfaces per scenario in the results.
-template <class Parse>
-auto list_arg(int argc, char** argv, const std::string& key,
-              const std::string& fallback, Parse parse,
-              const char* expected = "a non-empty list") {
-  const std::string list = bench::arg_value(argc, argv, key, fallback);
-  std::vector<typename decltype(parse(std::string_view{}))::value_type> out;
-  for (const auto& item : bench::split_csv(list)) {
-    const auto v = parse(item);
-    if (!v) bench::usage_error(key, list, expected);
-    out.push_back(*v);
-  }
-  if (out.empty()) bench::usage_error(key, list, expected);
+template <class Items, class Name>
+std::string joined(const Items& items, Name name) {
+  std::string out;
+  for (const auto& i : items) (out += out.empty() ? "" : "|") += name(i);
   return out;
 }
-
-std::optional<std::string> parse_name(std::string_view s) {
-  return std::string(s);
+void parse(std::string_view s, double& v) {
+  v = must(bench::parse_number(s), "a finite number");
+}
+void parse(std::string_view s, std::size_t& v) {
+  v = must(bench::parse_count(s), "a non-negative integer");
+}
+void parse(std::string_view s, bool& v) {
+  v = must(bench::parse_bool(s), "0|1|false|true");
+}
+void parse(std::string_view s, std::string& v) { v = s; }
+void parse(std::string_view s, fl::ModelProfile& v) {
+  if (s != "grid" && s != "paper") throw std::invalid_argument("grid|paper");
+  v = s == "grid" ? fl::ModelProfile::kGrid : fl::ModelProfile::kPaper;
+}
+void parse(std::string_view s, fl::WorkloadKind& v) {
+  for (const auto kind : fl::all_workloads())
+    if (fl::workload_name(kind) == s) return void(v = kind);
+  throw std::invalid_argument(joined(fl::all_workloads(), fl::workload_name));
 }
 
-std::optional<double> parse_skew(std::string_view s) {
-  if (s == "iid") return fl::kIidSkew;
-  return bench::parse_number(s);
+// "iid", or the non-IID fraction s in [0, 1] (a negative s would alias
+// the IID sentinel).
+void parse_skew(std::string_view s, double& v) {
+  if (s == "iid") return void(v = fl::kIidSkew);
+  parse(s, v);
+  if (!(v >= 0.0 && v <= 1.0)) throw std::invalid_argument("iid or [0, 1]");
 }
 
-// Every defense from the paper's Table I, in its row order — the
-// "--gars=table1" shorthand. Names are fl::make_aggregator names.
-std::vector<std::string> expand_gars(const std::vector<std::string>& items) {
-  static const char* kTable1[] = {
-      "Mean",      "TrMean", "Median",  "GeoMed",        "Multi-Krum",
-      "Bulyan",    "DnC",    "SignSGD", "SignGuard-Sim", "SignGuard-Dist",
-      "SignGuard",
+// A grid axis: every item of the comma list through `read`.
+template <class T, class Read = void (*)(std::string_view, T&)>
+Set axis(std::vector<T> fl::SweepGrid::*list, Read read = parse) {
+  return [=](Cli& c, const std::string& v) {
+    std::vector<T> out;
+    for (const auto& item : bench::split_csv(v)) {
+      T x;
+      read(item, x);
+      out.push_back(x);
+    }
+    if (out.empty()) throw std::invalid_argument("a non-empty list");
+    c.grid.*list = std::move(out);
   };
-  std::vector<std::string> out;
-  for (const auto& g : items) {
-    if (g == "table1")
-      out.insert(out.end(), std::begin(kTable1), std::end(kTable1));
-    else
-      out.push_back(g);
+}
+
+// A grid-wide scalar, set on the spec every scenario starts from.
+template <class T>
+Set scalar(T fl::ScenarioSpec::*field) {
+  return [=](Cli& c, const std::string& v) { parse(v, c.grid.base.*field); };
+}
+// A member of Cli itself or of the engine options it extends.
+template <class C, class T>
+Set option(T C::*field) {
+  return [=](Cli& c, const std::string& v) { parse(v, c.*field); };
+}
+template <class C>
+Set on(bool C::*field, bool value = true) {
+  return [=](Cli& c, const std::string&) { c.*field = value; };
+}
+
+// "--gars=table1" expands to every defense of the paper's Table I, in
+// its row order (fl::make_aggregator names).
+void set_gars(Cli& c, const std::string& v) {
+  static const std::string kTable1 =
+      "Mean,TrMean,Median,GeoMed,Multi-Krum,Bulyan,DnC,SignSGD,SignGuard-Sim,"
+      "SignGuard-Dist,SignGuard";
+  std::string list;
+  for (const auto& g : bench::split_csv(v))
+    list += (g == "table1" ? kTable1 : g) + ",";
+  axis(&fl::SweepGrid::gars)(c, list);
+}
+
+std::vector<Flag> flag_table() {
+  using G = fl::SweepGrid;
+  using S = fl::ScenarioSpec;
+  return {
+      {nullptr, nullptr, "Grid axes (comma-separated lists)", {}},
+      {"workloads=LIST", "MNIST-like", "workload names", axis(&G::workloads)},
+      {"attacks=LIST", "NoAttack,SignFlip,LIE,ByzMean", "attack names",
+       axis(&G::attacks)},
+      {"gars=LIST", "Mean,Median,SignGuard",
+       "aggregation rules\n(\"table1\" expands to every Table-I defense)",
+       set_gars},
+      {"skews=LIST", "iid,0.5", "\"iid\" or non-IID s in [0,1]",
+       axis(&G::skews, parse_skew)},
+      {"byz=LIST", "0.2", "Byzantine fractions", axis(&G::byzantine_fracs)},
+      {"participation=LIST", "1.0", "sampled client fractions",
+       axis(&G::participations)},
+      {"dropout=LIST", "0.0", "dropout probabilities", axis(&G::dropout_probs)},
+      {"straggler=LIST", "0.0", "straggler probabilities",
+       axis(&G::straggler_probs)},
+      {"codecs=LIST", "none", "none|sign1|int8|topk", axis(&G::codecs)},
+      {"shards=LIST", "1", "shard counts (1 = flat)", axis(&G::shard_counts)},
+      {"faults=LIST", "none",
+       joined(fl::fault_profile_names(), std::identity{}), axis(&G::faults)},
+      {"deadline=LIST", "0", "uplink deadlines, ms (0 = unbounded)",
+       axis(&G::deadlines)},
+      {"churn=LIST", "0", "churn leave probability", axis(&G::churns)},
+      {"adaptive=LIST", "0", "0|1: feedback-driven amplitude adaptation",
+       axis(&G::adaptives)},
+      {"wirecraft=LIST", "0", "0|1: codec-aware wire crafting",
+       axis(&G::wirecrafts)},
+      {"collude=LIST", "0", "chaos-colluding base fraction (0 = off)",
+       axis(&G::colludes)},
+      {nullptr, nullptr, "Grid-wide scalars", {}},
+      {"model=grid|paper", "grid", "model profile", scalar(&S::profile)},
+      {"codec-chunk=N", "4096", "coords per chunk", scalar(&S::codec_chunk)},
+      {"codec-k=F", "0.05", "top-k keep fraction", scalar(&S::codec_k)},
+      {"shard-merge=NAME", "wmean", "wmean|momed", scalar(&S::shard_merge)},
+      {"churn-absence=F", "2.0", "mean churn absence, rounds",
+       scalar(&S::churn_absence)},
+      {"quorum-min=N", "0", "min gradients at aggregator (0 = policy off)",
+       scalar(&S::quorum_min)},
+      {"quorum-survivors=N", "0", "min post-filter survivors",
+       scalar(&S::quorum_survivors)},
+      {"quorum-action=NAME", "cmean", "cmean|prev|skip",
+       scalar(&S::quorum_action)},
+      {"rounds=N", "0", "rounds (0 = scale default)", scalar(&S::rounds)},
+      {"clients=N", "0", "clients (0 = scale default)", scalar(&S::n_clients)},
+      {"seed=N", "7", "sweep seed", scalar(&S::seed)},
+      {nullptr, nullptr, "Checkpoint / crash recovery (fl/checkpoint.h)", {}},
+      {"checkpoint-dir=DIR", nullptr, "per-scenario checkpoint files in DIR",
+       option(&Cli::checkpoint_dir)},
+      {"checkpoint-every=N", "1", "save cadence, rounds",
+       option(&Cli::checkpoint_every)},
+      {"resume", nullptr, "continue from existing checkpoints",
+       on(&Cli::resume)},
+      {"halt-after-round=N", "0", "simulated kill after N rounds (0 = off)",
+       option(&Cli::halt_after_round)},
+      {nullptr, nullptr, "Output", {}},
+      {"out=FILE", nullptr, "JSONL to FILE instead of stdout",
+       option(&Cli::out_path)},
+      {"timing", nullptr, "include wall/cpu seconds in the JSONL",
+       on(&Cli::include_timing)},
+      {"no-round-checksums", nullptr, "omit the per-round checksum arrays",
+       on(&Cli::capture_rounds, false)},
+      {"summary", nullptr, "Table-I-style text summary on stderr",
+       on(&Cli::summary)},
+      {"list", nullptr, "print the scenario ids, run nothing", on(&Cli::list)},
+      {"help", nullptr, "this text", on(&Cli::help)},
+      {nullptr, nullptr, "Observability (src/obs, docs/ARCHITECTURE.md)", {}},
+      {"obs", nullptr, "per-round work counters in the JSONL (\"obs\" block)",
+       on(&Cli::obs_counters)},
+      {"profile", nullptr,
+       "per-stage cost table on stderr (implies --obs,\nadds stage timing to "
+       "the JSONL; not the model\nprofile, which is --model)",
+       [](Cli& c, const std::string&) {
+         c.profile = c.obs_counters = c.obs_timing = true;
+       }},
+      {"trace-out=DIR", nullptr,
+       "timing spans on (as SIGNGUARD_TRACE=1); writes\nDIR/trace.json "
+       "(Chrome trace_event, Perfetto)\nand DIR/metrics.prom",
+       option(&Cli::trace_dir)},
+  };
+}
+
+void print_usage(const std::vector<Flag>& flags) {
+  std::string out = "sweep_runner: scenario-sweep CLI over fl::run_sweep.\n";
+  for (const Flag& f : flags) {
+    if (!f.usage) {
+      out += "\n" + f.help + ":\n";
+      continue;
+    }
+    std::string help = f.help;
+    if (f.fallback)
+      help.insert(std::min(help.find('\n'), help.size()),
+                  std::string("  [") + f.fallback + "]");
+    char usage[48];
+    std::snprintf(usage, sizeof usage, "  --%-20s", f.usage);
+    out += usage;
+    for (const char ch : help)
+      (out += ch) += ch == '\n' ? std::string(24, ' ') : "";
+    out += '\n';
   }
-  return out;
+  out += "\nScale via SIGNGUARD_SCALE=smoke|default|full. JSONL streams to "
+         "stdout in\ncanonical id order, bit-identical for any "
+         "SIGNGUARD_THREADS.\n";
+  std::fputs(out.c_str(), stderr);
+}
+
+// Every flag with a fallback parses it, then each argument in order
+// parses its value, so the last of a repeated flag wins. An argument that
+// names no flag, a value on a switch, a flag without its value, or a
+// value its flag rejects exits 2.
+Cli parse_args(int argc, char** argv, const std::vector<Flag>& flags) {
+  Cli cli;
+  for (const Flag& f : flags)
+    if (f.fallback) f.set(cli, f.fallback);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string key = arg.starts_with("--") ? arg.substr(2, eq - 2) : "";
+    const auto f = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+      return f.usage && key == f.name();
+    });
+    if (f == flags.end() || f->takes_value() != (eq != std::string::npos)) {
+      std::fprintf(stderr, "%s: %s (see --help)\n", arg.c_str(),
+                   f == flags.end() ? "unknown flag"
+                                    : f->takes_value() ? "needs a value"
+                                                       : "takes no value");
+      std::exit(2);
+    }
+    const std::string value = f->takes_value() ? arg.substr(eq + 1) : "";
+    try {
+      f->set(cli, value);
+    } catch (const std::invalid_argument& e) {
+      bench::usage_error(key, value, e.what());
+    }
+  }
+  return cli;
 }
 
 // --profile: one text table per scenario, stages down, summed over the
@@ -188,95 +319,15 @@ void print_stage_profile(const fl::ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   using namespace signguard;
-  if (bench::has_flag(argc, argv, "help")) {
-    print_usage();
+  const std::vector<Flag> flags = flag_table();
+  Cli cli = parse_args(argc, argv, flags);
+  if (cli.help) {
+    print_usage(flags);
     return 0;
   }
-  const auto scale = fl::scale_from_env();
-
-  fl::SweepGrid grid;
-  grid.workloads.clear();
-  try {
-    for (const auto& name :
-         list_arg(argc, argv, "workloads", "MNIST-like", parse_name))
-      grid.workloads.push_back(fl::workload_kind_from_name(name));
-  } catch (const std::exception& e) {
-    // Unknown attack/GAR names surface per scenario in the results; a
-    // workload typo must fail up front with a usable message.
-    std::string known;
-    for (const auto kind : fl::all_workloads())
-      (known += known.empty() ? "" : ", ") += fl::workload_name(kind);
-    std::fprintf(stderr, "%s (known workloads: %s)\n", e.what(),
-                 known.c_str());
-    return 2;
-  }
-  const std::string model = bench::arg_value(argc, argv, "model", "grid");
-  if (model != "grid" && model != "paper") {
-    std::fprintf(stderr, "--model=%s: expected grid or paper (see --help)\n",
-                 model.c_str());
-    return 2;
-  }
-  if (!bench::arg_values(argc, argv, "profile").empty()) {
-    std::fprintf(stderr,
-                 "--profile takes no value; the model profile is "
-                 "--model=grid|paper (see --help)\n");
-    return 2;
-  }
-  grid.profile = model == "paper" ? fl::ModelProfile::kPaper
-                                  : fl::ModelProfile::kGrid;
-  constexpr const char* kNumbers = "a list of finite numbers";
-  constexpr const char* kCounts = "a list of non-negative integers";
-  constexpr const char* kBools = "a list of 0|1|false|true";
-  grid.attacks = list_arg(argc, argv, "attacks",
-                          "NoAttack,SignFlip,LIE,ByzMean", parse_name);
-  grid.gars = expand_gars(
-      list_arg(argc, argv, "gars", "Mean,Median,SignGuard", parse_name));
-  grid.skews = list_arg(argc, argv, "skews", "iid,0.5", parse_skew,
-                        "a list of iid or finite numbers");
-  grid.byzantine_fracs =
-      list_arg(argc, argv, "byz", "0.2", bench::parse_number, kNumbers);
-  grid.participations = list_arg(argc, argv, "participation", "1.0",
-                                 bench::parse_number, kNumbers);
-  grid.dropout_probs =
-      list_arg(argc, argv, "dropout", "0.0", bench::parse_number, kNumbers);
-  grid.straggler_probs =
-      list_arg(argc, argv, "straggler", "0.0", bench::parse_number, kNumbers);
-  // Compression axis: unknown codec names surface per scenario in the
-  // results (like attack/GAR typos), so no up-front validation here.
-  grid.codecs = list_arg(argc, argv, "codecs", "none", parse_name);
-  grid.codec_chunk = bench::count_arg(argc, argv, "codec-chunk", 4096);
-  grid.codec_k = bench::number_arg(argc, argv, "codec-k", 0.05);
-  // Sharding axis: an unknown merge name surfaces per scenario, like a
-  // codec typo.
-  grid.shard_counts =
-      list_arg(argc, argv, "shards", "1", bench::parse_count, kCounts);
-  grid.shard_merge = bench::arg_value(argc, argv, "shard-merge", "wmean");
-  // Chaos axes: an unknown fault-profile or quorum-action name surfaces
-  // per scenario, like a codec typo.
-  grid.faults = list_arg(argc, argv, "faults", "none", parse_name);
-  grid.deadlines =
-      list_arg(argc, argv, "deadline", "0", bench::parse_number, kNumbers);
-  grid.churns =
-      list_arg(argc, argv, "churn", "0", bench::parse_number, kNumbers);
-  // Adversary axes (src/attacks/adaptive.h, wirecraft.h): wrappers
-  // around each scenario's base attack, gated out of ids/JSONL when off.
-  grid.adaptives =
-      list_arg(argc, argv, "adaptive", "0", bench::parse_bool, kBools);
-  grid.wirecrafts =
-      list_arg(argc, argv, "wirecraft", "0", bench::parse_bool, kBools);
-  grid.colludes =
-      list_arg(argc, argv, "collude", "0", bench::parse_number, kNumbers);
-  grid.churn_absence = bench::number_arg(argc, argv, "churn-absence", 2.0);
-  grid.quorum_min = bench::count_arg(argc, argv, "quorum-min", 0);
-  grid.quorum_survivors = bench::count_arg(argc, argv, "quorum-survivors", 0);
-  grid.quorum_action = bench::arg_value(argc, argv, "quorum-action", "cmean");
-  grid.rounds = bench::count_arg(argc, argv, "rounds", 0);
-  grid.n_clients = bench::count_arg(argc, argv, "clients", 0);
-  grid.seed = bench::count_arg(argc, argv, "seed", 7);
-
-  std::vector<fl::ScenarioSpec> specs = grid.expand();
+  std::vector<fl::ScenarioSpec> specs = cli.grid.expand();
   std::fprintf(stderr, "== sweep_runner: %zu scenarios ==\n%s\n",
-               specs.size(), fl::runtime_summary(scale).c_str());
+               specs.size(), fl::runtime_summary(cli.scale).c_str());
   try {
     fl::canonical_order(specs);
   } catch (const std::invalid_argument& e) {
@@ -286,37 +337,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (bench::has_flag(argc, argv, "list")) {
+  if (cli.list) {
     for (const auto& s : specs) std::printf("%s\n", s.id().c_str());
     return 0;
   }
 
   std::ofstream out_file;
-  const std::string out_path = bench::arg_value(argc, argv, "out");
-  if (!out_path.empty()) {
-    out_file.open(out_path);
+  if (!cli.out_path.empty()) {
+    out_file.open(cli.out_path);
     if (!out_file) {
-      std::fprintf(stderr, "cannot open --out=%s\n", out_path.c_str());
+      std::fprintf(stderr, "cannot open --out=%s\n", cli.out_path.c_str());
       return 1;
     }
   }
 
-  fl::SweepOptions opts;
-  opts.scale = scale;
-  opts.capture_rounds = !bench::has_flag(argc, argv, "no-round-checksums");
-  opts.include_timing = bench::has_flag(argc, argv, "timing");
-  opts.jsonl = out_path.empty() ? &std::cout
-                                : static_cast<std::ostream*>(&out_file);
-  opts.checkpoint_dir = bench::arg_value(argc, argv, "checkpoint-dir");
-  opts.checkpoint_every = bench::count_arg(argc, argv, "checkpoint-every", 1);
-  opts.resume = bench::has_flag(argc, argv, "resume");
-  opts.halt_after_round = bench::count_arg(argc, argv, "halt-after-round", 0);
-  const bool stage_profile = bench::has_flag(argc, argv, "profile");
-  opts.obs_counters = bench::has_flag(argc, argv, "obs") || stage_profile;
-  opts.obs_timing = stage_profile;
-  const std::string trace_dir = bench::arg_value(argc, argv, "trace-out");
+  cli.jsonl = cli.out_path.empty() ? &std::cout
+                                   : static_cast<std::ostream*>(&out_file);
+  const std::string& trace_dir = cli.trace_dir;
   if (!trace_dir.empty()) obs::set_trace_enabled(true);
-  opts.progress = [](std::size_t done, std::size_t total,
+  cli.progress = [](std::size_t done, std::size_t total,
                      const fl::ScenarioResult& r) {
     std::fprintf(stderr, "[%zu/%zu] %s  best=%.2f%%%s%s\n", done, total,
                  r.spec.id().c_str(), r.best_accuracy,
@@ -326,13 +365,13 @@ int main(int argc, char** argv) {
 
   bench::Stopwatch total;
   const std::vector<fl::ScenarioResult> results =
-      fl::run_sweep(std::move(specs), opts);
+      fl::run_sweep(std::move(specs), cli);
 
   std::size_t failed = 0;
   for (const auto& r : results) failed += r.error.empty() ? 0 : 1;
-  if (bench::has_flag(argc, argv, "summary"))
+  if (cli.summary)
     std::fprintf(stderr, "\n%s", fl::summary_table(results).c_str());
-  if (stage_profile)
+  if (cli.profile)
     for (const auto& r : results) print_stage_profile(r);
   if (!trace_dir.empty()) {
     std::error_code ec;

@@ -74,6 +74,28 @@ double thread_cpu_seconds() {
   return 0.0;
 }
 
+// The grid's axes in expansion order: each is a value list and the
+// ScenarioSpec member it sets. A new axis is one line here.
+template <class Visit>
+void for_each_axis(const SweepGrid& g, Visit&& visit) {
+  visit(g.workloads, &ScenarioSpec::workload);
+  visit(g.attacks, &ScenarioSpec::attack);
+  visit(g.gars, &ScenarioSpec::gar);
+  visit(g.skews, &ScenarioSpec::skew);
+  visit(g.byzantine_fracs, &ScenarioSpec::byzantine_frac);
+  visit(g.participations, &ScenarioSpec::participation);
+  visit(g.dropout_probs, &ScenarioSpec::dropout_prob);
+  visit(g.straggler_probs, &ScenarioSpec::straggler_prob);
+  visit(g.codecs, &ScenarioSpec::codec);
+  visit(g.shard_counts, &ScenarioSpec::shards);
+  visit(g.faults, &ScenarioSpec::fault);
+  visit(g.deadlines, &ScenarioSpec::deadline_ms);
+  visit(g.churns, &ScenarioSpec::churn);
+  visit(g.adaptives, &ScenarioSpec::adaptive);
+  visit(g.wirecrafts, &ScenarioSpec::wirecraft);
+  visit(g.colludes, &ScenarioSpec::collude);
+}
+
 }  // namespace
 
 std::string ScenarioSpec::id() const {
@@ -131,63 +153,24 @@ std::uint64_t ScenarioSpec::rng_seed() const {
 }
 
 std::size_t SweepGrid::size() const {
-  return workloads.size() * attacks.size() * gars.size() * skews.size() *
-         byzantine_fracs.size() * participations.size() *
-         dropout_probs.size() * straggler_probs.size() * codecs.size() *
-         shard_counts.size() * faults.size() * deadlines.size() *
-         churns.size() * adaptives.size() * wirecrafts.size() *
-         colludes.size();
+  std::size_t n = 1;
+  for_each_axis(*this, [&n](const auto& values, auto) { n *= values.size(); });
+  return n;
 }
 
 std::vector<ScenarioSpec> SweepGrid::expand() const {
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(size());
-  for (const auto workload : workloads)
-    for (const auto& attack : attacks)
-      for (const auto& gar : gars)
-        for (const double skew : skews)
-          for (const double byz : byzantine_fracs)
-            for (const double part : participations)
-              for (const double drop : dropout_probs)
-                for (const double strag : straggler_probs)
-                  for (const auto& codec : codecs)
-                    for (const auto shards : shard_counts)
-                      for (const auto& fault : faults)
-                        for (const double deadline : deadlines)
-                          for (const double churn : churns)
-                            for (const bool adapt : adaptives)
-                              for (const bool wc : wirecrafts)
-                                for (const double collude : colludes) {
-                                  ScenarioSpec s;
-                                  s.workload = workload;
-                                  s.profile = profile;
-                                  s.attack = attack;
-                                  s.gar = gar;
-                                  s.skew = skew;
-                                  s.byzantine_frac = byz;
-                                  s.participation = part;
-                                  s.dropout_prob = drop;
-                                  s.straggler_prob = strag;
-                                  s.codec = codec;
-                                  s.codec_chunk = codec_chunk;
-                                  s.codec_k = codec_k;
-                                  s.shards = shards;
-                                  s.shard_merge = shard_merge;
-                                  s.fault = fault;
-                                  s.deadline_ms = deadline;
-                                  s.churn = churn;
-                                  s.churn_absence = churn_absence;
-                                  s.quorum_min = quorum_min;
-                                  s.quorum_survivors = quorum_survivors;
-                                  s.quorum_action = quorum_action;
-                                  s.adaptive = adapt;
-                                  s.wirecraft = wc;
-                                  s.collude = collude;
-                                  s.rounds = rounds;
-                                  s.n_clients = n_clients;
-                                  s.seed = seed;
-                                  specs.push_back(std::move(s));
-                                }
+  const std::size_t n = size();
+  std::vector<ScenarioSpec> specs(n, base);
+  // An odometer: scenario k's axis indices are the mixed-radix digits of
+  // k, the first axis most significant — the order of a loop nest with
+  // the first axis outermost.
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t stride = n;
+    for_each_axis(*this, [&](const auto& values, auto member) {
+      stride /= values.size();
+      specs[k].*member = values[k / stride % values.size()];
+    });
+  }
   return specs;
 }
 
@@ -687,68 +670,49 @@ void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
 }
 
 std::string summary_table(const std::vector<ScenarioResult>& results) {
-  // Group key: every grid dimension except attack and GAR.
-  const auto group_of = [](const ScenarioResult& r) {
-    const ScenarioSpec& s = r.spec;
-    std::string g = workload_name(s.workload) + " (" + to_string(s.profile);
-    g += s.skew < 0.0 ? ", iid" : ", noniid s=" + num(s.skew);
-    g += ", byz=" + num(s.byzantine_frac);
-    if (s.participation < 1.0) g += ", p=" + num(s.participation);
-    if (s.dropout_prob > 0.0) g += ", drop=" + num(s.dropout_prob);
-    if (s.straggler_prob > 0.0) g += ", strag=" + num(s.straggler_prob);
-    if (s.codec != "none") g += ", codec=" + s.codec;
-    if (s.shards > 1) g += ", shards=" + std::to_string(s.shards);
-    if (s.fault != "none") g += ", fault=" + s.fault;
-    if (s.deadline_ms > 0.0) g += ", dl=" + num(s.deadline_ms);
-    if (s.churn > 0.0) g += ", churn=" + num(s.churn);
-    if (s.quorum_active()) g += ", qmin=" + std::to_string(s.quorum_min);
-    if (s.adaptive) g += ", adaptive";
-    if (s.wirecraft) g += ", wirecraft";
-    if (s.collude > 0.0) g += ", collude=" + num(s.collude);
-    g += ", rounds=" + std::to_string(r.resolved_rounds);
-    g += ", n=" + std::to_string(r.resolved_clients);
-    g += ", seed=" + std::to_string(s.seed) + ")";
-    return g;
+  // One group per id without its attack and GAR segments, so specs that
+  // differ in any other field never share a table. Groups, rows and
+  // columns keep their first-appearance (canonical result) order, and the
+  // first result of a (GAR, attack) pair fills its cell.
+  struct Group {
+    std::vector<std::string> gars, attacks;
+    std::map<std::pair<std::string, std::string>, std::string> cells;
   };
-
-  // First-appearance orders keep the output aligned with the canonical
-  // result order.
-  std::vector<std::string> groups;
-  std::map<std::string, std::vector<const ScenarioResult*>> by_group;
+  const auto add = [](std::vector<std::string>& names, const std::string& n) {
+    if (std::find(names.begin(), names.end(), n) == names.end())
+      names.push_back(n);
+  };
+  std::vector<std::string> order;
+  std::map<std::string, Group> groups;
   for (const auto& r : results) {
-    const std::string g = group_of(r);
-    if (!by_group.count(g)) groups.push_back(g);
-    by_group[g].push_back(&r);
+    std::string key = r.spec.id();
+    const std::string cell = "/a=" + r.spec.attack + "/g=" + r.spec.gar;
+    key.erase(key.find(cell), cell.size());
+    key += " (rounds=" + std::to_string(r.resolved_rounds) +
+           ", n=" + std::to_string(r.resolved_clients) + ")";
+    Group& g = groups[key];
+    if (g.gars.empty()) order.push_back(key);
+    add(g.gars, r.spec.gar);
+    add(g.attacks, r.spec.attack);
+    g.cells.emplace(std::pair(r.spec.gar, r.spec.attack),
+                    r.error.empty() ? TextTable::fmt(r.best_accuracy) : "ERR");
   }
 
   std::string out;
-  for (const auto& g : groups) {
-    const auto& members = by_group[g];
-    std::vector<std::string> attacks, gars;
-    for (const auto* r : members) {
-      if (std::find(attacks.begin(), attacks.end(), r->spec.attack) ==
-          attacks.end())
-        attacks.push_back(r->spec.attack);
-      if (std::find(gars.begin(), gars.end(), r->spec.gar) == gars.end())
-        gars.push_back(r->spec.gar);
-    }
+  for (const auto& key : order) {
+    const Group& g = groups[key];
     std::vector<std::string> header = {"GAR"};
-    header.insert(header.end(), attacks.begin(), attacks.end());
+    header.insert(header.end(), g.attacks.begin(), g.attacks.end());
     TextTable table(header);
-    for (const auto& gar : gars) {
+    for (const auto& gar : g.gars) {
       std::vector<std::string> row = {gar};
-      for (const auto& attack : attacks) {
-        std::string cell = "-";
-        for (const auto* r : members) {
-          if (r->spec.gar != gar || r->spec.attack != attack) continue;
-          cell = r->error.empty() ? TextTable::fmt(r->best_accuracy) : "ERR";
-          break;
-        }
-        row.push_back(std::move(cell));
+      for (const auto& attack : g.attacks) {
+        const auto it = g.cells.find({gar, attack});
+        row.push_back(it == g.cells.end() ? "-" : it->second);
       }
       table.add_row(std::move(row));
     }
-    out += "[" + g + "]\n" + table.to_string() + "\n";
+    out += "[" + key + "]\n" + table.to_string() + "\n";
   }
   return out;
 }

@@ -112,8 +112,16 @@ struct ScenarioSpec {
 // combination. Explicit scenario lists can skip the grid and go straight
 // to run_sweep.
 struct SweepGrid {
+  // Every scenario starts as a copy of `base`, which carries the
+  // grid-wide scalars (profile, codec chunk and k, shard merge rule,
+  // churn absence, quorum policy, rounds, clients, seed: sweeping them
+  // too would square the grid). Each axis below then overwrites one
+  // member, so base's axis members are ignored.
+  ScenarioSpec base;
+  // One value list per axis; expand() runs them in this order, the first
+  // outermost and the last varying fastest. {false} / {0.0} keep the
+  // adversary axes off.
   std::vector<WorkloadKind> workloads = {WorkloadKind::kMnistLike};
-  ModelProfile profile = ModelProfile::kGrid;
   std::vector<std::string> attacks = {"NoAttack"};
   std::vector<std::string> gars = {"Mean"};
   std::vector<double> skews = {kIidSkew};
@@ -121,36 +129,16 @@ struct SweepGrid {
   std::vector<double> participations = {1.0};
   std::vector<double> dropout_probs = {0.0};
   std::vector<double> straggler_probs = {0.0};
-  // Compression axis: one scenario per codec name. Chunk size and top-k
-  // fraction are grid-wide scalars (sweeping them too would square the
-  // grid; pin them per run instead).
   std::vector<std::string> codecs = {"none"};
-  std::size_t codec_chunk = 4096;
-  double codec_k = 0.05;
-  // Sharding axis: one scenario per shard count. The merge rule is a
-  // grid-wide scalar, same rationale as codec_chunk.
   std::vector<std::size_t> shard_counts = {1};
-  std::string shard_merge = "wmean";
-  // Chaos axes: one scenario per (fault profile, deadline, churn) triple.
-  // The absence mean and the whole quorum policy are grid-wide scalars,
-  // same rationale as codec_chunk.
   std::vector<std::string> faults = {"none"};
   std::vector<double> deadlines = {0.0};
   std::vector<double> churns = {0.0};
-  double churn_absence = 2.0;
-  std::size_t quorum_min = 0;
-  std::size_t quorum_survivors = 0;
-  std::string quorum_action = "cmean";
-  // Adaptive-adversary axes: one scenario per flag value / collude
-  // fraction ({false} / {0.0} keep the grid adversary-free).
   std::vector<bool> adaptives = {false};
   std::vector<bool> wirecrafts = {false};
   std::vector<double> colludes = {0.0};
-  std::size_t rounds = 0;
-  std::size_t n_clients = 0;
-  std::uint64_t seed = 7;
 
-  std::size_t size() const;  // product of the dimension sizes
+  std::size_t size() const;  // product of the axis sizes
   std::vector<ScenarioSpec> expand() const;
 };
 
@@ -305,8 +293,9 @@ std::vector<ScenarioResult> run_sweep(std::vector<ScenarioSpec> specs,
 void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
                       bool include_timing = false);
 
-// Table-I-style summary: one text table per scenario group (everything
-// but attack and GAR), GAR rows × attack columns, best-accuracy cells.
+// Table-I-style summary: one text table per scenario group, GAR rows ×
+// attack columns, best-accuracy cells. A group is the scenario id without
+// its /a= and /g= segments, plus the resolved rounds and client count.
 std::string summary_table(const std::vector<ScenarioResult>& results);
 
 }  // namespace signguard::fl

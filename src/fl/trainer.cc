@@ -45,6 +45,10 @@ Trainer::Trainer(const data::TrainTest& data, ModelFactory model_factory,
         "TrainerConfig: dropout_prob / straggler_prob must be in [0, 1]");
   if (cfg_.rounds == 0)
     throw std::invalid_argument("TrainerConfig: rounds must be > 0");
+  if (cfg_.noniid && !(cfg_.noniid_s >= 0.0 && cfg_.noniid_s <= 1.0))
+    throw std::invalid_argument(
+        "TrainerConfig: noniid_s must be in [0, 1] (the IID fraction of "
+        "the partition)");
   cfg_.chaos.validate();
   if (cfg_.checkpoint.active() && cfg_.checkpoint.every == 0)
     throw std::invalid_argument(

@@ -279,8 +279,8 @@ fl::SweepGrid adversary_grid() {
   grid.adaptives = {true};
   grid.wirecrafts = {true};
   grid.colludes = {0.0, 0.4};
-  grid.rounds = 4;
-  grid.n_clients = 8;
+  grid.base.rounds = 4;
+  grid.base.n_clients = 8;
   return grid;
 }
 
@@ -320,8 +320,8 @@ TEST(AdaptiveSweep, KillResumeEmitsByteIdenticalJsonl) {
   grid.codecs = {"sign1"};
   grid.adaptives = {true};
   grid.wirecrafts = {true};
-  grid.rounds = 8;
-  grid.n_clients = 10;
+  grid.base.rounds = 8;
+  grid.base.n_clients = 10;
 
   const std::vector<fl::ScenarioSpec> specs = grid.expand();
   ASSERT_EQ(specs.size(), 1u);

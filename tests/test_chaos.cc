@@ -245,9 +245,9 @@ std::string chaos_cell_jsonl() {
   grid.faults = {"flaky"};
   grid.deadlines = {250.0};
   grid.churns = {0.1};
-  grid.quorum_min = 4;
-  grid.rounds = 6;
-  grid.n_clients = 10;
+  grid.base.quorum_min = 4;
+  grid.base.rounds = 6;
+  grid.base.n_clients = 10;
   std::ostringstream os;
   SweepOptions opts;
   opts.scale = Scale::kSmoke;
@@ -587,8 +587,8 @@ TEST(Checkpoint, SweepResumeEmitsByteIdenticalJsonl) {
   grid.gars = {"SignGuard"};
   grid.faults = {"flaky"};
   grid.churns = {0.1};
-  grid.rounds = 8;
-  grid.n_clients = 10;
+  grid.base.rounds = 8;
+  grid.base.n_clients = 10;
 
   // The sweep engine names each scenario's file by its id hash; the grid
   // has exactly one scenario, so pre-clean that file.

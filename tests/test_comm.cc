@@ -1175,8 +1175,8 @@ TEST(CommSweep, GridExpandsCodecAxis) {
   fl::SweepGrid grid;
   grid.gars = {"Mean", "SignGuard"};
   grid.codecs = {"none", "sign1", "topk"};
-  grid.codec_chunk = 1024;
-  grid.codec_k = 0.1;
+  grid.base.codec_chunk = 1024;
+  grid.base.codec_k = 0.1;
   EXPECT_EQ(grid.size(), 6u);
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), 6u);

@@ -17,7 +17,10 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "data/synth_image.h"
 #include "fl/experiment.h"
+#include "fl/sweep.h"
+#include "nn/models.h"
 #include "test_support.h"
 
 namespace signguard {
@@ -131,6 +134,49 @@ TEST(DegenerateAttacks, ConstructorValidation) {
       attacks::make_perturbation(std::span<const attacks::GradientView>(),
                                  attacks::Perturbation::kInverseStd),
       std::invalid_argument);
+}
+
+// The non-IID skew s is the IID fraction of the partition: outside
+// [0, 1] the partitioner would index past its sample permutation. The
+// trainer refuses it at construction, so a sweep reports it per scenario.
+TEST(Degenerate, NoniidSkewOutsideUnitIntervalThrows) {
+  data::SynthImageConfig dcfg;
+  dcfg.train_per_class = 4;
+  dcfg.test_per_class = 1;
+  const auto tt = data::make_synth_image(dcfg);
+  const fl::ModelFactory mlp = [](std::uint64_t seed) {
+    return nn::make_mlp(256, 4, 10, seed);
+  };
+  fl::TrainerConfig cfg;
+  cfg.n_clients = 4;
+  cfg.rounds = 1;
+  cfg.noniid = true;
+  for (const double s : {-0.5, 1.5, double(NAN)})
+    EXPECT_THROW(
+        {
+          cfg.noniid_s = s;
+          fl::Trainer(tt, mlp, cfg);
+        },
+        std::invalid_argument)
+        << s;
+  for (const double s : {0.0, 1.0}) {
+    cfg.noniid_s = s;
+    EXPECT_NO_THROW(fl::Trainer(tt, mlp, cfg)) << s;
+  }
+  cfg.noniid = false;  // s is unused on the IID path
+  cfg.noniid_s = 1.5;
+  EXPECT_NO_THROW(fl::Trainer(tt, mlp, cfg));
+
+  fl::ScenarioSpec spec;
+  spec.skew = 1.5;
+  spec.rounds = 1;
+  spec.n_clients = 10;
+  fl::SweepOptions opts;
+  opts.scale = fl::Scale::kSmoke;
+  const auto results = fl::run_sweep({spec}, opts);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_NE(results[0].error.find("noniid_s"), std::string::npos)
+      << results[0].error;
 }
 
 TEST(DnC, SmallBudgetStillRemovesCollinearOutlier) {

@@ -562,8 +562,8 @@ TEST(TrainerPinned, ObsCountersJsonl) {
   sign1.attacks = {"ByzMean"};
   sign1.gars = {"SignGuard"};
   sign1.codecs = {"sign1"};
-  sign1.n_clients = 12;
-  sign1.rounds = 4;
+  sign1.base.n_clients = 12;
+  sign1.base.rounds = 4;
   comm::set_wire_path(comm::WirePath::kWire);
   EXPECT_EQ(hex64(pinned_sweep_hash(sign1)), "0x0abb517fdb844cc9")
       << "sign1 wire";
@@ -576,8 +576,8 @@ TEST(TrainerPinned, ObsCountersJsonl) {
   codecs.attacks = {"LIE"};
   codecs.gars = {"SignGuard", "Multi-Krum"};
   codecs.codecs = {"int8", "topk"};
-  codecs.n_clients = 12;
-  codecs.rounds = 4;
+  codecs.base.n_clients = 12;
+  codecs.base.rounds = 4;
   EXPECT_EQ(hex64(pinned_sweep_hash(codecs)), "0xf96ec801da55ff8b")
       << "int8/topk";
 
@@ -588,8 +588,8 @@ TEST(TrainerPinned, ObsCountersJsonl) {
   sharded.participations = {0.5};
   sharded.dropout_probs = {0.2};
   sharded.straggler_probs = {0.2};
-  sharded.n_clients = 64;
-  sharded.rounds = 4;
+  sharded.base.n_clients = 64;
+  sharded.base.rounds = 4;
   EXPECT_EQ(hex64(pinned_sweep_hash(sharded)), "0x97ece06702001ab0")
       << "sharded";
 
@@ -611,10 +611,10 @@ TEST(TrainerPinned, ObsCountersJsonl) {
     chaos.churns = {0.1};
     chaos.dropout_probs = {0.2};
     chaos.straggler_probs = {0.2};
-    chaos.quorum_min = 12;
-    chaos.quorum_action = action;
-    chaos.n_clients = 24;
-    chaos.rounds = 6;
+    chaos.base.quorum_min = 12;
+    chaos.base.quorum_action = action;
+    chaos.base.n_clients = 24;
+    chaos.base.rounds = 6;
     ScenarioResult r;
     EXPECT_EQ(hex64(pinned_sweep_hash(chaos, &r)), pin) << action;
     EXPECT_GT(r.*degraded, 0u) << action;
@@ -628,8 +628,8 @@ TEST(TrainerPinned, ObsCountersJsonl) {
   adversary.adaptives = {true};
   adversary.wirecrafts = {true};
   adversary.colludes = {0.5};
-  adversary.n_clients = 16;
-  adversary.rounds = 5;
+  adversary.base.n_clients = 16;
+  adversary.base.rounds = 5;
   EXPECT_EQ(hex64(pinned_sweep_hash(adversary)), "0x774da7120ded2ba4")
       << "adversary";
 }
@@ -748,11 +748,11 @@ TEST(TrainerPinned, CheckpointPayload) {
   grid.churns = {0.1};
   grid.dropout_probs = {0.2};
   grid.straggler_probs = {0.2};
-  grid.quorum_min = 12;
-  grid.quorum_action = "prev";
+  grid.base.quorum_min = 12;
+  grid.base.quorum_action = "prev";
   grid.adaptives = {true};
-  grid.n_clients = 24;
-  grid.rounds = 8;
+  grid.base.n_clients = 24;
+  grid.base.rounds = 8;
   const std::vector<ScenarioSpec> specs = grid.expand();
   ASSERT_EQ(specs.size(), 1u);
   char hex[17];

@@ -42,9 +42,9 @@ std::vector<ScenarioSpec> canonical_scenarios() {
   grid.attacks = {"NoAttack", "SignFlip", "LIE"};
   grid.gars = {"Mean", "Median", "SignGuard"};
   grid.skews = {kIidSkew, 0.5};
-  grid.rounds = 5;
-  grid.n_clients = 10;
-  grid.seed = 7;
+  grid.base.rounds = 5;
+  grid.base.n_clients = 10;
+  grid.base.seed = 7;
   // 2 x 3 x 3 x 2 = 36 grid cells is more than the smoke budget needs;
   // thin the text workload to the iid partition.
   std::vector<ScenarioSpec> specs;

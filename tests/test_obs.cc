@@ -137,8 +137,8 @@ fl::SweepGrid obs_grid() {
   fl::SweepGrid grid;
   grid.attacks = {"SignFlip"};
   grid.gars = {"SignGuard"};
-  grid.rounds = 6;
-  grid.n_clients = 10;
+  grid.base.rounds = 6;
+  grid.base.n_clients = 10;
   return grid;
 }
 

@@ -25,8 +25,8 @@ SweepGrid tiny_grid() {
   grid.attacks = {"NoAttack", "SignFlip"};
   grid.gars = {"Mean", "SignGuard"};
   grid.skews = {kIidSkew, 0.5};
-  grid.rounds = 4;
-  grid.n_clients = 8;
+  grid.base.rounds = 4;
+  grid.base.n_clients = 8;
   return grid;
 }
 
@@ -65,6 +65,158 @@ TEST(ScenarioSpec, IdIsInjectiveOverGridAndSeedsStreams) {
   Rng documented = Rng::stream(specs[0].seed, common::fnv1a64(specs[0].id()));
   Rng actual(specs[0].rng_seed());
   EXPECT_EQ(documented.engine()(), actual.engine()());
+}
+
+// Every id segment, spelled out: ids are the canonical order, the RNG
+// stream key and the checkpoint file name, so no refactor may move a
+// byte. Each spec turns on one optional segment (or its gate).
+TEST(ScenarioSpec, IdSegmentsArePinned) {
+  const std::string tail = "/r=0/n=0/seed=7";
+  const std::string head =
+      "MNIST-like/grid/a=NoAttack/g=Mean/part=iid/byz=0.2/p=1/drop=0/strag=0";
+  const auto id_with = [](auto edit) {
+    ScenarioSpec s;
+    edit(s);
+    return s.id();
+  };
+  EXPECT_EQ(ScenarioSpec{}.id(), head + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.workload = WorkloadKind::kCifarLike;
+              s.profile = ModelProfile::kPaper;
+              s.attack = "LIE";
+              s.gar = "Multi-Krum";
+              s.skew = 0.5;
+              s.byzantine_frac = 0.25;
+              s.participation = 0.5;
+              s.dropout_prob = 0.1;
+              s.straggler_prob = 0.05;
+              s.rounds = 3;
+              s.n_clients = 12;
+              s.seed = 11;
+            }),
+            "CIFAR-like/paper/a=LIE/g=Multi-Krum/part=s0.5/byz=0.25/p=0.5/"
+            "drop=0.1/strag=0.05/r=3/n=12/seed=11");
+  // Transport: chunk always, k only for topk.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.codec = "sign1"; }),
+            head + "/codec=sign1/ck=4096" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.codec = "topk";
+              s.codec_chunk = 1024;
+              s.codec_k = 0.1;
+            }),
+            head + "/codec=topk/ck=1024/k=0.1" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.codec_k = 0.1; }), head + tail);
+  // Sharding: smerge only when not the wmean default, nothing when flat.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.shards = 8; }),
+            head + "/shards=8" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.shards = 8;
+              s.shard_merge = "momed";
+            }),
+            head + "/shards=8/smerge=momed" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.shard_merge = "momed"; }),
+            head + tail);
+  // Chaos: fault always once active, dl and churn/abs when set.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.fault = "flaky"; }),
+            head + "/fault=flaky" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.deadline_ms = 250; }),
+            head + "/fault=none/dl=250" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.fault = "wan";
+              s.deadline_ms = 300;
+              s.churn = 0.1;
+              s.churn_absence = 3;
+            }),
+            head + "/fault=wan/dl=300/churn=0.1/abs=3" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.churn_absence = 3; }),
+            head + tail);
+  // Quorum: qmin always once active, qsurv and qact when set.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.quorum_min = 4; }),
+            head + "/qmin=4" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.quorum_survivors = 3; }),
+            head + "/qmin=0/qsurv=3" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.quorum_min = 4;
+              s.quorum_survivors = 3;
+              s.quorum_action = "prev";
+            }),
+            head + "/qmin=4/qsurv=3/qact=prev" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.quorum_action = "skip"; }),
+            head + tail);
+  // Adversary wrappers, each alone and all together.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.adaptive = true; }),
+            head + "/adapt=1" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.wirecraft = true; }),
+            head + "/wc=1" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) { s.collude = 0.3; }),
+            head + "/collude=0.3" + tail);
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.adaptive = true;
+              s.wirecraft = true;
+              s.collude = 0.3;
+            }),
+            head + "/adapt=1/wc=1/collude=0.3" + tail);
+  // Every optional segment at once, in segment order.
+  EXPECT_EQ(id_with([](ScenarioSpec& s) {
+              s.codec = "topk";
+              s.shards = 4;
+              s.shard_merge = "momed";
+              s.fault = "lan";
+              s.churn = 0.2;
+              s.quorum_min = 2;
+              s.quorum_action = "skip";
+              s.wirecraft = true;
+            }),
+            head +
+                "/codec=topk/ck=4096/k=0.05/shards=4/smerge=momed/fault=lan/"
+                "churn=0.2/abs=2/qmin=2/qact=skip/wc=1" +
+                tail);
+}
+
+// Expansion order over four multi-valued axes that are far apart in the
+// axis list: the first axis is outermost, the last varies fastest.
+TEST(SweepGrid, ExpansionOrderIsPinned) {
+  SweepGrid grid;
+  grid.attacks = {"LIE", "SignFlip"};
+  grid.byzantine_fracs = {0.1, 0.3};
+  grid.shard_counts = {1, 4};
+  grid.colludes = {0.0, 0.2};
+  const std::string seed = "/r=0/n=0/seed=7";
+  std::vector<std::string> ids;
+  for (const auto& s : grid.expand()) ids.push_back(s.id());
+  const std::vector<std::string> expected = {
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/collude=0.2" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/shards=4" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/shards=4/collude=0.2" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/collude=0.2" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/shards=4" + seed,
+      "MNIST-like/grid/a=LIE/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/shards=4/collude=0.2" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0" +
+          seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/collude=0.2" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/shards=4" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.1/p=1/drop=0/strag=0"
+      "/shards=4/collude=0.2" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0" +
+          seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/collude=0.2" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/shards=4" + seed,
+      "MNIST-like/grid/a=SignFlip/g=Mean/part=iid/byz=0.3/p=1/drop=0/strag=0"
+      "/shards=4/collude=0.2" + seed,
+  };
+  EXPECT_EQ(ids, expected);
 }
 
 TEST(RunSweep, ResultsInCanonicalOrderRegardlessOfSubmission) {
@@ -145,7 +297,7 @@ TEST(RunSweep, FailureInjectionIsAccountedAndDeterministic) {
   grid.skews = {kIidSkew};
   grid.dropout_probs = {0.25};
   grid.straggler_probs = {0.25};
-  grid.rounds = 12;
+  grid.base.rounds = 12;
   const auto a = run_sweep(grid.expand(), quiet_options());
   const auto b = run_sweep(grid.expand(), quiet_options());
   ASSERT_EQ(a.size(), 1u);
@@ -254,9 +406,32 @@ TEST(SummaryTable, ContainsEveryGarAndAttack) {
   const auto results = run_sweep(tiny_grid().expand(), quiet_options());
   const std::string table = summary_table(results);
   for (const char* needle :
-       {"MNIST-like", "Mean", "SignGuard", "NoAttack", "SignFlip", "iid",
-        "noniid s=0.5"})
+       {"Mean", "SignGuard", "NoAttack", "SignFlip",
+        "[MNIST-like/grid/part=iid/byz=0.2/p=1/drop=0/strag=0/r=4/n=8/seed=7 "
+        "(rounds=4, n=8)]",
+        "[MNIST-like/grid/part=s0.5/byz=0.2/p=1/drop=0/strag=0/r=4/n=8/seed=7 "
+        "(rounds=4, n=8)]"})
     EXPECT_NE(table.find(needle), std::string::npos) << needle;
+}
+
+// Specs that differ in a field outside the attack and GAR land in
+// different tables, whether or not that field is a grid axis.
+TEST(SummaryTable, SpecsDifferingOnlyInShardMergeGetTwoGroups) {
+  ScenarioResult wmean, momed;
+  wmean.spec.attack = momed.spec.attack = "SignFlip";
+  wmean.spec.gar = momed.spec.gar = "Median";
+  wmean.spec.shards = momed.spec.shards = 4;
+  momed.spec.shard_merge = "momed";
+  wmean.resolved_rounds = momed.resolved_rounds = 3;
+  wmean.resolved_clients = momed.resolved_clients = 12;
+  wmean.best_accuracy = 14.4;
+  momed.best_accuracy = 14.9;
+  const std::string table = summary_table({wmean, momed});
+  EXPECT_NE(table.find("/shards=4/r=0"), std::string::npos) << table;
+  EXPECT_NE(table.find("/shards=4/smerge=momed/r=0"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find("14.40"), std::string::npos) << table;
+  EXPECT_NE(table.find("14.90"), std::string::npos) << table;
 }
 
 }  // namespace
